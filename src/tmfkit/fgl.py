@@ -74,10 +74,12 @@ class FormalGroupLaw:
             first = min(bad, key=lambda t: (sum(t), t))
             raise FGLInvalid("unit axiom fails at %s" % _mon_str(F.vars, first))
 
-        for (a, b), c in F.terms.items():
-            if not R.eq(F.coeff((b, a)), c):
-                raise FGLInvalid("commutativity fails at %s" %
-                                 _mon_str(F.vars, (a, b)))
+        bad = [(a, b) for (a, b), c in F.terms.items()
+               if not R.eq(F.coeff((b, a)), c)]
+        if bad:
+            first = min(bad, key=lambda t: (sum(t), t))
+            raise FGLInvalid("commutativity fails at %s" %
+                             _mon_str(F.vars, first))
 
         if check_associativity:
             tri = (vx, vy, "_z")

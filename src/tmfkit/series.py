@@ -30,6 +30,23 @@ def _product(R, t1, t2, n):
     return out
 
 
+def _horner(R, part, g, v, n, top, k=0):
+    """Terms below degree n of the sum over d = k..top of g^(d - k) * part(d),
+    by Horner's rule acc -> acc * g + part(d) from d = top down to k.
+
+    g is a term dict of valuation >= v >= 1.  The accumulator after step d
+    is multiplied by g d - k more times, which raises its degrees by at
+    least (d - k) * v, so only its terms below b = n - (d - k) * v are
+    formed; part(d, b) gives the terms of the d-th summand below b."""
+    acc = {}
+    for d in range(top, k - 1, -1):
+        b = n - (d - k) * v
+        acc = _product(R, acc, g, b)
+        for e, c in part(d, b).items():
+            acc[e] = R.add(acc[e], c) if e in acc else c
+    return acc
+
+
 class Series:
     __slots__ = ("ring", "vars", "precision", "terms", "lowest")
 
@@ -292,46 +309,75 @@ class Series:
         v = g.valuation()
         top = max(e[0] for e in self.terms)
         z = (0,) * len(g.vars)
-        acc = {}
-        for d in range(min(top, k + (n - 1) // v), k - 1, -1):
-            acc = _product(R, acc, g.terms, n - (d - k) * v)
+
+        def part(d, b):
             c = self.terms.get((d,))
-            if c is not None:
-                acc[z] = c
+            return {} if c is None else {z: c}
+
+        acc = _horner(R, part, g.terms, v, n, min(top, k + (n - 1) // v), k)
         out = Series(R, g.vars, n, acc)
         for _ in range(k):
             out = out * g
         return out
 
     def subst(self, values):
-        """Substitute one series per variable; every value needs positive
-        valuation.  All values must share variables, ring, and precision."""
+        """f(P0, P1, ...): substitute one series per variable.  Every value
+        needs positive valuation, and all share the ring and variables.  The
+        result has precision n = min(f.precision, precisions of the values).
+
+        Horner in the first variable: with f = sum_a x0^a f_a(x1, ...), the
+        loop acc -> acc * P0 + f_a(P1, ...) runs from the top a down to 0,
+        truncated by degree as in compose: after step a the accumulator is
+        multiplied by P0 a more times, so only its terms below degree
+        n - a * val(P0) are formed.  Each f_a(P1, ...) is a linear
+        combination of monomials in P1, ..., memoized below degree n and
+        each built from a smaller one by one product."""
         if len(values) != len(self.vars):
             raise AlgebraError("need one series per variable")
-        for v in values:
-            if not v.is_zero() and v.valuation() < 1:
-                raise AlgebraError("composition requires positive valuation")
         R = self.ring
         tgt = values[0]
-        n = min([self.precision] + [v.precision for v in values])
-        pow_cache = [{0: Series.one(R, tgt.vars, n)} for _ in values]
+        for P in values:
+            if P.ring != R or P.vars != tgt.vars:
+                raise AlgebraError("mismatched series (ring or variables differ)")
+            if not P.is_zero() and P.valuation() < 1:
+                raise AlgebraError("composition requires positive valuation")
+        if any(min(e) < 0 for e in self.terms):
+            raise AlgebraError("cannot substitute into a Laurent series")
+        n = min([self.precision] + [P.precision for P in values])
+        rest = [P.terms for P in values[1:]]
+        mono = {(0,) * len(rest): {(0,) * len(tgt.vars): R.one}}
 
-        def power(i, e):
-            cache = pow_cache[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * values[i]
-            return cache[e]
+        def monomial(e):
+            chain = []
+            while e not in mono:
+                j = next(i for i, x in enumerate(e) if x)
+                chain.append((e, j))
+                e = e[:j] + (e[j] - 1,) + e[j + 1:]
+            m = mono[e]
+            for e, j in reversed(chain):
+                m = mono[e] = {x: c for x, c in
+                               _product(R, m, rest[j], n).items()
+                               if not R.is_zero(c)}
+            return m
 
-        acc = Series.zero(R, tgt.vars, n)
-        for exp, c in self.sorted_terms():
-            if sum(exp) >= n:
-                continue
-            m = Series.constant(R, tgt.vars, n, c)
-            for i, e in enumerate(exp):
-                if e:
-                    m = m * power(i, e)
-            acc = acc + m
-        return acc
+        parts = {}
+        for e, c in self.terms.items():
+            if sum(e) < n:
+                parts.setdefault(e[0], []).append((e[1:], c))
+
+        def part(a, b):
+            out = {}
+            for e, c in parts.get(a, ()):
+                for x, t in monomial(e).items():
+                    if sum(x) < b:
+                        p = R.mul(c, t)
+                        out[x] = R.add(out[x], p) if x in out else p
+            return out
+
+        # a zero P0 acts as one of valuation n: only f_0 survives
+        v = tgt.valuation() or n
+        top = min(max(parts, default=0), (n - 1) // v)
+        return Series(R, tgt.vars, n, _horner(R, part, tgt.terms, v, n, top))
 
     def rename(self, new_vars, mapping=None):
         """Move to a new variable tuple.  mapping[i] = index of old variable i
@@ -352,8 +398,11 @@ class Series:
     # -- division -----------------------------------------------------------
 
     def inverse_unit(self):
-        """1/f when the constant term is a unit (geometric series).  Laurent
-        input is rejected; divide_exact handles that case by shifting."""
+        """1/f when the constant term c0 is a unit, degree by degree: with
+        f_j the homogeneous part of degree j, q_0 = 1/c0 and
+        q_d = -(1/c0) * sum_{j=1..d} f_j q_{d-j}, which holds in any
+        commutative ring.  The result has the precision of f.  Laurent input
+        is rejected; divide_exact handles that case by shifting."""
         R = self.ring
         if any(sum(e) < 0 for e in self.terms):
             raise AlgebraError("inverse_unit needs a power series")
@@ -361,18 +410,25 @@ class Series:
         if not R.is_unit(c0):
             raise NotDivisible("constant term is not a unit")
         c0i = R.inv(c0)
-        # f = c0 (1 - h) with val(h) >= 1
-        h = (Series.one(R, self.vars, self.precision) - self.scale(c0i))
-        acc = Series.one(R, self.vars, self.precision)
-        term = Series.one(R, self.vars, self.precision)
-        v = h.valuation()
-        if v is not None:
-            for _ in range(0, self.precision, v):
-                term = term * h
-                if term.is_zero():
-                    break
-                acc = acc + term
-        return acc.scale(c0i)
+        m = R.neg(c0i)
+        n = self.precision
+        f = [[] for _ in range(n)]
+        for e, c in self.terms.items():
+            f[sum(e)].append((e, c))
+        q = [{(0,) * len(self.vars): c0i}]
+        out = dict(q[0])
+        for d in range(1, n):
+            s = {}
+            for j in range(1, d + 1):
+                for e1, c1 in f[j]:
+                    for e2, c2 in q[d - j].items():
+                        e = tuple(map(add_exp, e1, e2))
+                        p = R.mul(c1, c2)
+                        s[e] = R.add(s[e], p) if e in s else p
+            q.append({e: R.mul(m, c) for e, c in s.items()
+                      if not R.is_zero(c)})
+            out.update(q[d])
+        return Series(R, self.vars, n, out)
 
     def divide_exact(self, g, allow_laurent=False):
         """f/g where either g(0) is a unit, or the division is exact on the
@@ -454,8 +510,6 @@ class Series:
             d = sum(e)
             if d - v >= n:
                 # everything left is beyond the result precision
-                if d >= min(self.precision, g.precision):
-                    break
                 break
             q_exp = tuple(a - b for a, b in zip(e, lead))
             if min(q_exp) < 0:

@@ -45,6 +45,16 @@ class TestValidation:
         with pytest.raises(FGLInvalid):
             FormalGroupLaw.validate(F)
 
+    @pytest.mark.parametrize("order", [[(2, 1), (1, 3)], [(1, 3), (2, 1)]])
+    def test_commutativity_reports_lowest_monomial(self, order):
+        # x + y + x^2 y + x y^3 fails at x^2*y and x*y^3; the lower one is
+        # named whatever the order of the terms
+        terms = {(1, 0): 1, (0, 1): 1}
+        terms.update({e: 1 for e in order})
+        F = Series(ZZ, ("x", "y"), 6, terms)
+        with pytest.raises(FGLInvalid, match=r"^commutativity fails at x\^2\*y$"):
+            FormalGroupLaw.validate(F)
+
     def test_nonassociative_rejected(self):
         # x + y + x^2 y^2 is commutative with the right unit but fails
         # associativity

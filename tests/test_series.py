@@ -129,6 +129,16 @@ class TestComposition:
         val = F.subst([t, t])                    # 2t + t^2
         assert val == zt(5, {(1,): 2, (2,): 1})
 
+    def test_subst_rejects_mismatched_values_and_laurent_outer(self):
+        F = Series(ZZ, ("x", "y"), 5, {(1, 0): 1, (0, 1): 1})
+        t = Series.gen(ZZ, ("t",), 5, "t")
+        u = Series.gen(ZZ, ("u",), 5, "u")
+        with pytest.raises(AlgebraError):
+            F.subst([t, u])
+        laurent = Series(ZZ, ("q",), 4, {(-1,): 1, (1,): 1}, lowest=-1)
+        with pytest.raises(AlgebraError):
+            laurent.subst([t])
+
     def test_reverse_pinned(self):
         # functional inverse of t + t^2: signed Catalan numbers
         f = zt(6, {(1,): 1, (2,): 1})
@@ -268,13 +278,19 @@ def plain_reverse(f):
     return g
 
 
+def monomials(nvars, d):
+    """Exponent tuples of total degree d in nvars variables, lex order."""
+    if nvars == 1:
+        return [(d,)]
+    return [(i,) + e for i in range(d + 1) for e in monomials(nvars - 1, d - i)]
+
+
 def random_series(rng, R, vars, precision, low):
     """Each monomial of total degree in [low, precision) with chance 0.6."""
     terms = {}
     for d in range(low, precision):
-        for i in range(d + 1 if len(vars) == 2 else 1):
+        for e in monomials(len(vars), d):
             if rng.random() < 0.6:
-                e = (d,) if len(vars) == 1 else (i, d - i)
                 terms[e] = (Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                             if R == QQ else rng.randrange(R.m))
     return Series(R, vars, precision, terms)
@@ -314,3 +330,92 @@ def test_reverse_matches_plain_loop(R):
         f = f + Series(R, ("t",), f.precision, {(1,): a1})
         got, want = f.reverse(), plain_reverse(f)
         assert (got.terms, got.precision) == (want.terms, want.precision), f
+
+
+# -- Horner subst and recurrence inverse_unit against the plain loops ---------
+
+def plain_subst(f, values):
+    """Sum over the terms of f of c * prod P_i^e_i, each power formed by
+    repeated products, kept below n = min(precisions)."""
+    R = f.ring
+    tgt = values[0]
+    n = min([f.precision] + [v.precision for v in values])
+    acc = Series.zero(R, tgt.vars, n)
+    for exp, c in f.terms.items():
+        m = Series.constant(R, tgt.vars, n, c)
+        for P, e in zip(values, exp):
+            for _ in range(e):
+                m = plain_product(m, P).truncate(n)
+        acc = acc + m
+    return acc
+
+
+def plain_inverse_unit(f):
+    """Geometric series: f = c0 (1 - h), 1/f = c0^-1 * sum_k h^k."""
+    R = f.ring
+    n = f.precision
+    c0i = R.inv(f.constant_term())
+    one = Series.one(R, f.vars, n)
+    h = one - f.scale(c0i)
+    acc = term = one
+    for _ in range(n):
+        term = plain_product(term, h).truncate(n)
+        acc = acc + term
+    return acc.scale(c0i)
+
+
+SUBST_RINGS = [QQ, PrimeField(5), IntegersMod(4), IntegersMod(6),
+               IntegersMod(8), IntegersMod(9), IntegersMod(12)]
+VARS = [("t",), ("x", "y"), ("a", "b", "c")]
+
+
+@pytest.mark.parametrize("R", SUBST_RINGS, ids=repr)
+def test_subst_matches_plain_loop(R):
+    rng = random.Random("subst %r" % (R,))
+    seen = {"zero": 0, "val2": 0, "unequal": 0}
+    for case in range(45):
+        outer, target = VARS[case % 3], VARS[case // 3 % 3]
+        top = 5 if len(outer) + len(target) < 6 else 4
+        f = random_series(rng, R, outer, rng.randint(1, top + 1),
+                          rng.choice([0, 1, 2]))
+        values = []
+        for _ in outer:
+            p = rng.randint(1, top)
+            if rng.random() < 0.15:
+                values.append(Series.zero(R, target, p))
+            else:
+                values.append(random_series(rng, R, target, p,
+                                            rng.choice([1, 1, 2, 3])))
+        got, want = f.subst(values), plain_subst(f, values)
+        assert (got.terms, got.precision) == (want.terms, want.precision), \
+            (f, values)
+        seen["zero"] += any(v.is_zero() for v in values)
+        seen["val2"] += any((v.valuation() or 0) >= 2 for v in values)
+        seen["unequal"] += len({v.precision for v in values + [f]}) > 1
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("R", SUBST_RINGS, ids=repr)
+def test_inverse_unit_matches_geometric_series(R):
+    rng = random.Random("inverse %r" % (R,))
+    units = ([Fraction(1), Fraction(2, 3), Fraction(-7, 5)] if R == QQ
+             else [u for u in range(1, R.m) if R.is_unit(u)])
+    other = 0
+    for case in range(30):
+        vars = VARS[case % 3]
+        h = random_series(rng, R, vars, rng.randint(1, 7 - len(vars)), 1)
+        c0 = rng.choice(units)
+        f = h + Series.constant(R, vars, h.precision, c0)
+        got, want = f.inverse_unit(), plain_inverse_unit(f)
+        assert (got.terms, got.precision) == (want.terms, want.precision), f
+        other += c0 != 1
+    assert other >= 10
+
+
+@pytest.mark.parametrize("R,c0", [(QQ, Fraction(2, 3)), (IntegersMod(6), 5)],
+                         ids=["QQ-2/3", "Z6-5"])
+def test_inverse_unit_with_unit_constant_other_than_one(R, c0):
+    f = Series(R, ("x", "y"), 6, {(0, 0): c0, (1, 0): R.one, (1, 1): R.one})
+    g = f.inverse_unit()
+    assert g == plain_inverse_unit(f)
+    assert (f * g).agrees_with(Series.one(R, ("x", "y"), 6))
