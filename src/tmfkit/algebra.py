@@ -54,6 +54,13 @@ class Ring:
 
     kind = None
 
+    # Rings whose payloads are Fractions (Q and its localizations) define
+    # to_cleared(cs) -> (ints, D), with c equal to from_cleared(i, D) for
+    # each c and its int i, and from_cleared(s, D), the payload of the
+    # integer s over D.  Series products then multiply and add plain ints
+    # and map each output coefficient back once.
+    to_cleared = None
+
     def eq(self, a, b):
         return a == b
 
@@ -65,9 +72,6 @@ class Ring:
 
     def characteristic(self):
         return 0
-
-    def has_rationals(self):
-        return False
 
     def is_finite(self):
         return False
@@ -152,9 +156,6 @@ class Integers(Ring):
             raise AlgebraError("expected integer, got %r" % (obj,))
         return obj
 
-    def random_element(self, rng):
-        return rng.randint(-9, 9)
-
 
 class Rationals(Ring):
     kind = "Rationals"
@@ -173,6 +174,14 @@ class Rationals(Ring):
     def from_int(self, n):
         return Fraction(n)
 
+    def to_cleared(self, cs):
+        pairs = [c.as_integer_ratio() for c in cs]
+        d = math.lcm(*[q for _, q in pairs])
+        return [p * (d // q) for p, q in pairs], d
+
+    def from_cleared(self, s, d):
+        return Fraction(s, d)
+
     def is_zero(self, a):
         return not a
 
@@ -188,9 +197,6 @@ class Rationals(Ring):
         if b == 0:
             raise NotDivisible("division by zero")
         return a / b
-
-    def has_rationals(self):
-        return True
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -222,9 +228,6 @@ class Rationals(Ring):
         if a.denominator == 1:
             return str(a.numerator)
         return "%d/%d" % (a.numerator, a.denominator)
-
-    def random_element(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 class LocalizedIntegers(Ring):
@@ -312,21 +315,13 @@ class LocalizedIntegers(Ring):
             return {"kind": "ZLocalAt", "p": self.at}
         return {"kind": "ZInverted", "inverted": list(self.inverted)}
 
+    to_cleared = Rationals.to_cleared
+    from_cleared = Rationals.from_cleared
     coeff_to_json = Rationals.coeff_to_json
     coeff_str = Rationals.coeff_str
 
     def coeff_from_json(self, obj):
         return self.check(Rationals.coeff_from_json(self, obj))
-
-    def random_element(self, rng):
-        num = rng.randint(-9, 9)
-        if self.at is not None:
-            den = rng.choice([1, 2, 4, 5])
-            if den % self.at == 0:
-                den = 1
-        else:
-            den = self.inverted[0] ** rng.randint(0, 2)
-        return Fraction(num, den)
 
 
 class IntegersMod(Ring):
@@ -388,9 +383,6 @@ class IntegersMod(Ring):
         if not isinstance(obj, int) or isinstance(obj, bool):
             raise AlgebraError("expected residue, got %r" % (obj,))
         return obj % self.m
-
-    def random_element(self, rng):
-        return rng.randrange(self.m)
 
 
 class PrimeField(IntegersMod):
@@ -462,10 +454,6 @@ class QuadExtField(Ring):
     def from_int(self, n):
         return (n % self.p, 0)
 
-    def embed(self, a):
-        """Image of a in F_p."""
-        return (a % self.p, 0)
-
     def is_unit(self, a):
         return a != (0, 0)
 
@@ -535,19 +523,6 @@ class QuadExtField(Ring):
         if a[0] == 0:
             return "%d*x" % a[1] if a[1] != 1 else "x"
         return "%d+%d*x" % (a[0], a[1])
-
-    def random_element(self, rng):
-        return (rng.randrange(self.p), rng.randrange(self.p))
-
-
-def finite_field_make(p, k):
-    if not is_prime(p):
-        raise AlgebraError("not prime: %d" % p)
-    if k == 1:
-        return PrimeField(p)
-    if k == 2:
-        return QuadExtField(p)
-    raise AlgebraError("unsupported extension degree: %r" % (k,))
 
 
 ZZ = Integers()
@@ -833,10 +808,6 @@ class PolynomialRing(Ring):
 
     def coeff_str(self, a):
         return a.to_string(self.var)
-
-    def random_element(self, rng):
-        return Poly(self.base, [self.base.random_element(rng)
-                                for _ in range(rng.randint(0, 3))])
 
 
 # ---------------------------------------------------------------------------

@@ -5,29 +5,51 @@ by total degree (all monomials of total degree >= precision are dropped).
 A single-variable Laurent mode (negative exponents down to a stated bound)
 exists for the handful of places that need a simple pole; multivariate
 Laurent content is rejected.
+
+Over Q and its localizations, products clear denominators once per call and
+convolve plain ints; see _product.
 """
 
-from operator import add as add_exp
+from operator import add, mul
 
 from .algebra import AlgebraError, NotDivisible, InternalCheckError
 
 
 def _product(R, t1, t2, n):
     """Terms of the product of two term dicts below total degree n.  Zero
-    coefficients may be left in; the Series constructor drops them."""
+    coefficients may be left in; the Series constructor drops them.
+
+    When R has the to_cleared hook (Q and the localized integers), each
+    factor is cleared once, c = a / D with D the lcm of its denominators,
+    and the pairs are convolved in plain ints: the coefficient of e is
+    (sum a1 * a2) / (D1 * D2), mapped back by one from_cleared per output
+    term.  This is exact, and a Fraction is canonical, so the payloads are
+    those of ring arithmetic pair by pair (the layout of FLINT's fmpq_poly,
+    integer numerators over a common denominator).  Other rings use R.add
+    and R.mul."""
     by_degree = sorted(((sum(e), e, c) for e, c in t2.items()),
                        key=lambda t: t[0])
-    add, mul = R.add, R.mul
+    plus, times = R.add, R.mul
+    cleared = R.to_cleared is not None
+    if cleared:
+        c1s, D1 = R.to_cleared(list(t1.values()))
+        c2s, D2 = R.to_cleared([c for _, _, c in by_degree])
+        t1 = dict(zip(t1, c1s))
+        by_degree = [(d, e, c) for (d, e, _), c in zip(by_degree, c2s)]
+        plus, times = add, mul
     out = {}
     for e1, c1 in t1.items():
         room = n - sum(e1)
         for d2, e2, c2 in by_degree:
             if d2 >= room:
                 break
-            e = tuple(map(add_exp, e1, e2))
-            p = mul(c1, c2)
-            out[e] = add(out[e], p) if e in out else p
-    return out
+            e = tuple(map(add, e1, e2))
+            p = times(c1, c2)
+            out[e] = plus(out[e], p) if e in out else p
+    if not cleared:
+        return out
+    D, back = D1 * D2, R.from_cleared
+    return {e: back(s, D) for e, s in out.items()}
 
 
 def _horner(R, part, g, v, n, top, k=0):
@@ -422,7 +444,7 @@ class Series:
             for j in range(1, d + 1):
                 for e1, c1 in f[j]:
                     for e2, c2 in q[d - j].items():
-                        e = tuple(map(add_exp, e1, e2))
+                        e = tuple(map(add, e1, e2))
                         p = R.mul(c1, c2)
                         s[e] = R.add(s[e], p) if e in s else p
             q.append({e: R.mul(m, c) for e, c in s.items()

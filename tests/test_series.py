@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from tmfkit.algebra import (
     AlgebraError, NotDivisible, ZZ, QQ, PrimeField, IntegersMod,
+    LocalizedIntegers, QuadExtField,
 )
-from tmfkit.series import Series
+from tmfkit.series import Series, _product
 
 
 def zt(precision, terms):
@@ -285,23 +286,54 @@ def monomials(nvars, d):
     return [(i,) + e for i in range(d + 1) for e in monomials(nvars - 1, d - i)]
 
 
+def random_coeff(rng, R):
+    if R == QQ:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if isinstance(R, IntegersMod):
+        return rng.randrange(R.m)
+    if R == ZZ:
+        return rng.randint(-5, 5)
+    if isinstance(R, QuadExtField):
+        return (rng.randrange(R.p), rng.randrange(R.p))
+    # Z_(p): denominators prime to p; Z[1/2]: powers of 2
+    den = (rng.choice([1, 2, 4, 5, 7]) if R.at is not None
+           else 2 ** rng.randint(0, 3))
+    return Fraction(rng.randint(-5, 5), den)
+
+
 def random_series(rng, R, vars, precision, low):
     """Each monomial of total degree in [low, precision) with chance 0.6."""
     terms = {}
     for d in range(low, precision):
         for e in monomials(len(vars), d):
             if rng.random() < 0.6:
-                terms[e] = (Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                            if R == QQ else rng.randrange(R.m))
+                terms[e] = random_coeff(rng, R)
     return Series(R, vars, precision, terms)
 
 
-TRUNCATION_RINGS = [QQ, PrimeField(5), PrimeField(7), IntegersMod(4),
-                    IntegersMod(6), IntegersMod(8), IntegersMod(9),
-                    IntegersMod(12)]
+def some_units(R):
+    if R == QQ:
+        return [Fraction(1), Fraction(2, 3), Fraction(-7, 5)]
+    if isinstance(R, IntegersMod):
+        return [u for u in range(1, R.m) if R.is_unit(u)]
+    if R == ZZ:
+        return [1, -1]
+    if isinstance(R, QuadExtField):
+        return [(1, 0), (2, 1), (0, 2)]
+    if R.at is not None:
+        return [Fraction(1), Fraction(-5, 7), Fraction(2, 5)]
+    return [Fraction(1), Fraction(-1, 2), Fraction(4)]
 
 
-@pytest.mark.parametrize("R", TRUNCATION_RINGS, ids=repr)
+# both paths of _product: the to_cleared hook (Q and its localizations) and
+# ring arithmetic (Z, Z/m, F_p and F_p^2)
+RINGS = [QQ, PrimeField(5), PrimeField(7), IntegersMod(4), IntegersMod(6),
+         IntegersMod(8), IntegersMod(9), IntegersMod(12), ZZ,
+         LocalizedIntegers(at=3), LocalizedIntegers(inverted=(2,)),
+         QuadExtField(3)]
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_compose_matches_plain_horner(R):
     rng = random.Random("compose %r" % (R,))
     grown = 0
@@ -320,13 +352,12 @@ def test_compose_matches_plain_horner(R):
     assert grown >= 10
 
 
-@pytest.mark.parametrize("R", TRUNCATION_RINGS, ids=repr)
+@pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_reverse_matches_plain_loop(R):
     rng = random.Random("reverse %r" % (R,))
     for _ in range(15):
         f = random_series(rng, R, ("t",), rng.randint(2, 8), 2)
-        a1 = R.one if R == QQ else rng.choice(
-            [u for u in range(1, R.m) if R.is_unit(u)])
+        a1 = R.one if R == QQ else rng.choice(some_units(R))
         f = f + Series(R, ("t",), f.precision, {(1,): a1})
         got, want = f.reverse(), plain_reverse(f)
         assert (got.terms, got.precision) == (want.terms, want.precision), f
@@ -364,12 +395,10 @@ def plain_inverse_unit(f):
     return acc.scale(c0i)
 
 
-SUBST_RINGS = [QQ, PrimeField(5), IntegersMod(4), IntegersMod(6),
-               IntegersMod(8), IntegersMod(9), IntegersMod(12)]
 VARS = [("t",), ("x", "y"), ("a", "b", "c")]
 
 
-@pytest.mark.parametrize("R", SUBST_RINGS, ids=repr)
+@pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_subst_matches_plain_loop(R):
     rng = random.Random("subst %r" % (R,))
     seen = {"zero": 0, "val2": 0, "unequal": 0}
@@ -395,11 +424,10 @@ def test_subst_matches_plain_loop(R):
     assert min(seen.values()) >= 3, seen
 
 
-@pytest.mark.parametrize("R", SUBST_RINGS, ids=repr)
+@pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_inverse_unit_matches_geometric_series(R):
     rng = random.Random("inverse %r" % (R,))
-    units = ([Fraction(1), Fraction(2, 3), Fraction(-7, 5)] if R == QQ
-             else [u for u in range(1, R.m) if R.is_unit(u)])
+    units = some_units(R)
     other = 0
     for case in range(30):
         vars = VARS[case % 3]
@@ -408,7 +436,7 @@ def test_inverse_unit_matches_geometric_series(R):
         f = h + Series.constant(R, vars, h.precision, c0)
         got, want = f.inverse_unit(), plain_inverse_unit(f)
         assert (got.terms, got.precision) == (want.terms, want.precision), f
-        other += c0 != 1
+        other += c0 != R.one
     assert other >= 10
 
 
@@ -419,3 +447,97 @@ def test_inverse_unit_with_unit_constant_other_than_one(R, c0):
     g = f.inverse_unit()
     assert g == plain_inverse_unit(f)
     assert (f * g).agrees_with(Series.one(R, ("x", "y"), 6))
+
+
+# -- the product kernel against all pairs ------------------------------------
+
+def all_pairs(R, t1, t2, n):
+    """Every pair of terms, then the terms below degree n that are not 0."""
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = R.add(out.get(e, R.zero), R.mul(c1, c2))
+    return {e: c for e, c in out.items() if sum(e) < n and not R.is_zero(c)}
+
+
+def assert_product_matches(a, b):
+    R = a.ring
+    for n in range(-1, a.precision + b.precision + 2):
+        got = _product(R, a.terms, b.terms, n)
+        assert {e: c for e, c in got.items() if not R.is_zero(c)} == \
+            all_pairs(R, a.terms, b.terms, n), (a, b, n)
+    try:
+        want = plain_product(a, b)
+    except AlgebraError:   # the window rule left no precision
+        with pytest.raises(AlgebraError):
+            a * b
+        return
+    got = a * b
+    assert (got.terms, got.precision, got.lowest) == \
+        (want.terms, want.precision, want.lowest), (a, b)
+
+
+def laurent_series(rng, R, precision, low):
+    """A one-variable series with terms from t^low (low < 0) up, as the
+    shifted factors inside divide_exact."""
+    terms = {(d,): random_coeff(rng, R) for d in range(low, precision)
+             if rng.random() < 0.6}
+    terms[(low,)] = rng.choice(some_units(R))
+    return Series(R, ("t",), precision, terms, low)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_product_matches_all_pairs(R):
+    rng = random.Random("product %r" % (R,))
+    seen = {"empty": 0, "laurent": 0, "unequal": 0}
+    for case in range(60):
+        vars = VARS[case % 3]
+        a = random_series(rng, R, vars, rng.randint(1, 7),
+                          rng.choice([0, 0, 1, 2]))
+        if case % 3 == 0 and case % 4:
+            a = laurent_series(rng, R, rng.randint(1, 6), -rng.randint(1, 3))
+        if case % 7 == 3:
+            b = Series.zero(R, vars, rng.randint(1, 7))
+        else:
+            b = random_series(rng, R, vars, rng.randint(1, 7),
+                              rng.choice([0, 0, 1, 2]))
+        assert_product_matches(a, b)
+        assert_product_matches(b, a)
+        seen["empty"] += b.is_zero()
+        seen["laurent"] += a.lowest < 0
+        seen["unequal"] += a.precision != b.precision
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_product_cancellation_leaves_no_zero_terms(R):
+    # (c x + c y)(c x - c y) = c^2 x^2 - c^2 y^2, with y the last variable
+    # (1 for one variable): the x*y coefficients cancel and leave no term
+    c = some_units(R)[-1]
+    for vars in VARS:
+        x = Series.gen(R, vars, 5, vars[0]).scale(c)
+        y = (Series.gen(R, vars, 5, vars[-1]) if len(vars) > 1
+             else Series.one(R, vars, 5)).scale(c)
+        assert_product_matches(x + y, x - y)
+        got = (x + y) * (x - y)
+        assert len(got.terms) == 2
+        assert all(not R.is_zero(v) for v in got.terms.values())
+
+
+@pytest.mark.parametrize("R", [QQ, LocalizedIntegers(at=3)], ids=repr)
+def test_product_with_large_coprime_denominators(R):
+    big7, big11 = 7 ** 20, 11 ** 20
+    a = Series(R, ("x", "y"), 6, {
+        (1, 0): Fraction(1, big7), (0, 1): Fraction(-3, big11),
+        (1, 1): Fraction(-5, big7 * big11), (2, 1): Fraction(2, 7),
+        (0, 4): Fraction(-1, 11 ** 3)})
+    b = Series(R, ("x", "y"), 5, {
+        (0, 0): Fraction(-1, big11), (1, 0): Fraction(big7, big11),
+        (0, 2): Fraction(-4, big7), (3, 0): Fraction(11, 7 ** 19)})
+    assert_product_matches(a, b)
+    p = a * b
+    assert p.coeff((1, 0)) == Fraction(-1, big7 * big11)
+    assert p.coeff((1, 1)) == Fraction(5 - 3 * big7 ** 2, big7 * big11 ** 2)
+    assert p.coeff((2, 0)) == Fraction(1, big11)   # 7^20 cancels
+    assert p.coeff((1, 2)) == Fraction(-4, big7 ** 2)
