@@ -815,153 +815,88 @@ class PolynomialRing(Ring):
 # regularity check on graded pieces)
 
 
-def _mat_copy(m):
-    return [list(row) for row in m]
+def _swap_rows(a, U, i, j):
+    a[i], a[j] = a[j], a[i]
+    U[i], U[j] = U[j], U[i]
+
+
+def _swap_cols(a, V, i, j):
+    for r in a + V:
+        r[i], r[j] = r[j], r[i]
+
+
+def _add_row(a, U, src, dst, c):
+    for m in (a, U):
+        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
+
+
+def _add_col(a, V, src, dst, c):
+    for r in a + V:
+        r[dst] += c * r[src]
+
+
+def _clear_pivot(a, U, V, t):
+    """Clear row and column t around the nonzero pivot a[t][t] by division
+    with remainder, swapping in any smaller remainder as the new pivot.  The
+    pivot's sign is left to smith_normal_form's sign pass: no move touches
+    row t before that pass runs, so negating it there gives the same U."""
+    rows, cols = len(a), len(V)
+    while True:
+        done = True
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                _add_row(a, U, t, i, -(a[i][t] // a[t][t]))
+                if a[i][t]:
+                    _swap_rows(a, U, t, i)
+                    done = False
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                _add_col(a, V, t, j, -(a[t][j] // a[t][t]))
+                if a[t][j]:
+                    _swap_cols(a, V, t, j)
+                    done = False
+        if done:
+            break
 
 
 def smith_normal_form(mat):
     """Return (D, U, V) with D = U * mat * V in Smith form, U and V unimodular.
-    Rows index the target, columns the source."""
-    a = _mat_copy(mat)
+    Rows index the target, columns the source.
+
+    The sequence of moves is part of the contract, not only D: a Smith form
+    fixes D but not U and V, and integer_kernel reads its basis off the
+    columns of V, so a different move order would change the kernel-witness
+    labels that the Landweber check prints."""
+    a = [list(row) for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, c):
-        for k in range(cols):
-            a[dst][k] += c * a[src][k]
-        for k in range(rows):
-            U[dst][k] += c * U[src][k]
-
-    def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < rows and t < cols:
-        # find a pivot
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
+    for t in range(min(rows, cols)):
+        # pivot: the first entry of least absolute value in the lower block
+        piv = min(((abs(a[i][j]), i, j) for i in range(t, rows)
+                   for j in range(t, cols) if a[i][j]), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear the pivot row and column
-            done = True
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+        _swap_rows(a, U, t, piv[1])
+        _swap_cols(a, V, t, piv[2])
+        _clear_pivot(a, U, V, t)
     # fix divisibility d_i | d_{i+1}
     changed = True
     while changed:
         changed = False
         for i in range(min(rows, cols)):
             if a[i][i] < 0:
-                negate_row(i)
+                a[i] = [-x for x in a[i]]
+                U[i] = [-x for x in U[i]]
         for i in range(min(rows, cols) - 1):
             d1, d2 = a[i][i], a[i + 1][i + 1]
             if d1 and d2 and d2 % d1 != 0:
-                add_col(i + 1, i, 1)
-                # re-run elimination on the 2x2 block via full pass
-                _resmith_block(a, U, V, i, rows, cols)
+                # a[i][i] is still d1: re-clear the 2x2 block around it
+                _add_col(a, V, i + 1, i, 1)
+                _clear_pivot(a, U, V, i)
                 changed = True
     return a, U, V
-
-
-def _resmith_block(a, U, V, t, rows, cols):
-    # local re-elimination after a divisibility fix; same moves as above
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def add_row(src, dst, c):
-        for k in range(cols):
-            a[dst][k] += c * a[src][k]
-        for k in range(rows):
-            U[dst][k] += c * U[src][k]
-
-    def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    while True:
-        done = True
-        if a[t][t] == 0:
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j]:
-                        swap_rows(t, i)
-                        swap_cols(t, j)
-                        break
-                else:
-                    continue
-                break
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t]:
-                    swap_rows(t, i)
-                    done = False
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j]:
-                    swap_cols(t, j)
-                    done = False
-        if done:
-            break
-    if a[t][t] < 0:
-        a[t] = [-x for x in a[t]]
-        U[t] = [-x for x in U[t]]
 
 
 def abelian_group_structure(n_gens, relations):
@@ -982,8 +917,6 @@ def integer_solve(mat, target):
     """Solve mat * x = target over Z; return x or None.  mat is a list of rows."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols if all(t == 0 for t in target) else None
     D, U, V = smith_normal_form(mat)
     b = [sum(U[i][k] * target[k] for k in range(rows)) for i in range(rows)]
     w = [0] * cols
@@ -1002,8 +935,6 @@ def integer_kernel(mat):
     """Basis (list of vectors) of the integer kernel of mat."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
     D, _, V = smith_normal_form(mat)
     basis = []
     for j in range(cols):

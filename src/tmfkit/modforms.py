@@ -6,10 +6,10 @@ normal forms, weight bases and dimensions, and q-expansions obtained by the
 Eisenstein substitution c4 -> E4(q), c6 -> -E6(q).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import ZZ, AlgebraError, InternalCheckError
+from .algebra import (ZZ, AlgebraError, InternalCheckError,
+                      abelian_group_structure)
 from .series import Series
 
 #: weight of each polynomial generator
@@ -355,35 +355,11 @@ def j_q_expansion(N):
 # q-expansion injectivity report
 
 
-def _rank(rows):
-    """Rank of a small matrix of Fractions by Gaussian elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def qexp_injectivity_check(k_max, N):
     """Check that q-expansion is injective on each weight piece k <= k_max.
 
-    Expands the weight-k basis to precision N and row-reduces exactly over Q.
+    Expands the weight-k basis to precision N over Z and takes the rank over
+    Q from the Smith form of the coefficient matrix.
     Reports, per weight, whether the expansions are linearly independent and
     the minimal number of q-coefficients needed to see it; weights where N
     was too small are listed under 'not_visible' (a report, not an error).
@@ -401,10 +377,12 @@ def qexp_injectivity_check(k_max, N):
         rows = []
         for (a, b, c) in mons:
             s = _mono_qexp(a, b, c, N)
-            rows.append([Fraction(s.coeff((i,))) for i in range(N)])
+            rows.append([s.coeff((i,)) for i in range(N)])
         min_terms = None
         for m in range(1, N + 1):
-            if _rank([row[:m] for row in rows]) == d:
+            # the rank over Q is m minus the free rank of Z^m / (row span)
+            free, _ = abelian_group_structure(m, [row[:m] for row in rows])
+            if m - free == d:
                 min_terms = m
                 break
         independent = min_terms is not None

@@ -453,10 +453,19 @@ class Series:
         return Series(R, self.vars, n, out)
 
     def divide_exact(self, g, allow_laurent=False):
-        """f/g where either g(0) is a unit, or the division is exact on the
-        valuation parts.  The result's precision drops by the valuation of g,
-        and by a further val(g) − val(f) when f starts lower than g (the
-        quotient's low terms consume that much of the known window)."""
+        """f/g by the first of three routes that applies:
+
+        1. g is a power series with unit constant term: f * g.inverse_unit().
+        2. one variable, and the coefficient of g's lowest term t^v is a
+           unit: shift g down by v, invert, multiply, and shift back.
+        3. otherwise, leading-term elimination (_eliminate), which raises
+           NotDivisible on the first inexact step.
+
+        On routes 2 and 3 the result's precision drops by the valuation v of
+        g, and by a further v − val(f) when f starts lower than g (the
+        quotient's low terms consume that much of the known window).
+        Negative exponents in the quotient need one variable and either
+        allow_laurent or a Laurent operand."""
         self._align(g)
         R = self.ring
         if g.is_zero():
@@ -472,55 +481,29 @@ class Series:
         n = min(self.precision, g.precision) - v - max(0, v - vf)
         if n < 1:
             raise AlgebraError("division would exhaust the precision")
-        laurent_ok = allow_laurent or self.lowest < 0 or g.lowest < 0
-        if len(self.vars) == 1:
-            if R.is_unit(g.coeff((v,))):
-                u_inv = g.shift(-v).inverse_unit()
-                q = (self * u_inv).shift(-v)
-            else:
-                q = self._divide_onevar(g, v, n)
-            low = min((e[0] for e in q.terms), default=0)
-            if low < 0 and not laurent_ok:
-                raise NotDivisible("not divisible")
-            drop = {e: c for e, c in q.terms.items() if e[0] < n}
-            return Series(R, self.vars, n, drop, min(low, 0))
-        return self._divide_graded(g, v)
+        one_var = len(self.vars) == 1
+        laurent = one_var and (allow_laurent or self.lowest < 0
+                               or g.lowest < 0)
+        if one_var and R.is_unit(g.coeff((v,))):
+            q = (self * g.shift(-v).inverse_unit()).shift(-v).terms
+            q = {e: c for e, c in q.items() if e[0] < n}
+        else:
+            q = self._eliminate(g, v, n, laurent)
+        low = min((sum(e) for e in q), default=0)
+        if low < 0 and not laurent:
+            raise NotDivisible("not divisible")
+        return Series(R, self.vars, n, q, min(low, 0))
 
-    def _divide_onevar(self, g, v, n):
-        """Single-variable division when the low coefficient of g is not a
-        unit: eliminate the remainder bottom-up with exact coefficient
-        divisions (each step is forced, so exactness of the quotient implies
-        exactness of every step)."""
+    def _eliminate(self, g, v, n, laurent):
+        """Quotient terms of f/g below degree n by leading-term elimination:
+        repeatedly divide the least remaining term of f, by (degree,
+        exponent), by g's lex-least term of degree v, and subtract that
+        quotient term times g.  Each step is forced, so the quotient is
+        exact only if every step is; an inexact step raises NotDivisible,
+        and so does a negative quotient exponent unless laurent."""
         R = self.ring
-        gl = g.coeff((v,))
-        rem = dict(self.terms)
-        out = {}
-        while rem:
-            e = min(rem)[0]
-            q_exp = e - v
-            if q_exp >= n:
-                break
-            q_c = R.divide(rem[(e,)], gl)
-            out[(q_exp,)] = q_c
-            for (ge,), gc in g.terms.items():
-                ne = ge + q_exp
-                if ne >= n + v:
-                    continue
-                s = R.sub(rem.get((ne,), R.zero), R.mul(q_c, gc))
-                if R.is_zero(s):
-                    rem.pop((ne,), None)
-                else:
-                    rem[(ne,)] = s
-        low = min((e for (e,) in out), default=0)
-        return Series(R, self.vars, n, out, min(low, 0))
-
-    def _divide_graded(self, g, v):
-        """Multivariate exact division by leading-part elimination."""
-        R = self.ring
-        n = min(self.precision, g.precision) - v
-        g_low = {e: c for e, c in g.terms.items() if sum(e) == v}
-        lead = min(g_low)  # lex-minimal exponent of the valuation part
-        # graded-lex style reduction: repeatedly kill the current least term
+        lead = min(e for e in g.terms if sum(e) == v)
+        lc = g.terms[lead]
         rem = dict(self.terms)
         out = {}
         guard = 0
@@ -529,30 +512,24 @@ class Series:
             if guard > 200000:
                 raise InternalCheckError("division failed to terminate")
             e = min(rem, key=lambda x: (sum(x), x))
-            d = sum(e)
-            if d - v >= n:
+            if sum(e) - v >= n:
                 # everything left is beyond the result precision
                 break
             q_exp = tuple(a - b for a, b in zip(e, lead))
-            if min(q_exp) < 0:
+            if min(q_exp) < 0 and not laurent:
                 raise NotDivisible("not divisible")
-            try:
-                q_c = R.divide(rem[e], g_low[lead])
-            except NotDivisible:
-                raise NotDivisible("not divisible")
+            q_c = R.divide(rem[e], lc)
             out[q_exp] = q_c
-            # subtract q_term * g from the remainder
             for ge, gc in g.terms.items():
                 ne = tuple(a + b for a, b in zip(q_exp, ge))
-                if sum(ne) >= self.precision:
+                if sum(ne) >= n + v:
                     continue
-                val = R.mul(q_c, gc)
-                s = R.sub(rem.get(ne, R.zero), val)
+                s = R.sub(rem.get(ne, R.zero), R.mul(q_c, gc))
                 if R.is_zero(s):
                     rem.pop(ne, None)
                 else:
                     rem[ne] = s
-        return Series(R, self.vars, n, out, 0)
+        return out
 
     # -- reversion ----------------------------------------------------------
 

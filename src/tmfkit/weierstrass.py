@@ -494,15 +494,16 @@ class SupersingularReport:
             self.p, self.phi.to_string("j"))
 
 
-def supersingular_polynomial(p, cap=SS_PRIME_CAP):
+def supersingular_polynomial(p):
     """Phi_p(j) over F_p: collect the supersingular j-invariants in F_{p^2}
     from the Legendre-family Hasse polynomial, verify each root with an
     independent witness-curve classification, and multiply out the distinct
     minimal polynomials."""
     if not is_prime(p):
         raise AlgebraError("not prime: %d" % p)
-    if p > cap:
-        raise AlgebraError("desk-scale cap exceeded")
+    if p > SS_PRIME_CAP:
+        raise AlgebraError("p = %d exceeds the desk-scale cap %d"
+                           % (p, SS_PRIME_CAP))
     F = QuadExtField(p)
     Fp = PrimeField(p)
     if p in (2, 3):

@@ -2,6 +2,7 @@
 JSON round trips, and ring axioms on randomized elements."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tmfkit.algebra import (
     AlgebraError, InternalCheckError, NotDivisible, NotInvertible,
     ZZ, QQ, IntegersMod, PrimeField, LocalizedIntegers, QuadExtField,
     Poly, PolynomialRing, ring_from_json, is_prime, poly_gcd,
+    smith_normal_form, integer_solve, integer_kernel,
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -257,3 +259,88 @@ def test_coeff_json_roundtrip(ring, a):
     x = ring.from_int(a)
     blob = json.dumps(ring.coeff_to_json(x))
     assert ring.eq(ring.coeff_from_json(json.loads(blob)), x)
+
+
+# -- Smith normal form and the integer solvers built on it -------------------
+
+def matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
+             for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
+
+
+def apply(M, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in M]
+
+
+def det(M):
+    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
+    a = [list(r) for r in M]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def random_int_matrix(rng, rows, cols):
+    """Entries in [-6, 6] at a random density, sometimes with a zero row
+    and a zero column."""
+    density = rng.random()
+    M = [[rng.randint(-6, 6) if rng.random() < density else 0
+          for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        M[rng.randrange(rows)] = [0] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in M:
+            row[j] = 0
+    return M
+
+
+def test_smith_normal_form_properties():
+    rng = random.Random("smith")
+    for _ in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        if rows == 0:
+            cols = 0   # a list of no rows has no columns
+        M = random_int_matrix(rng, rows, cols)
+        D, U, V = smith_normal_form(M)
+        assert D == matmul(matmul(U, M), V), M
+        assert abs(det(U)) == 1 and abs(det(V)) == 1, M
+        diag = [D[i][i] for i in range(min(rows, cols))]
+        assert all(D[i][j] == 0 for i in range(rows) for j in range(cols)
+                   if i != j), M
+        assert all(d >= 0 for d in diag), M
+        for d1, d2 in zip(diag, diag[1:]):
+            assert (d2 == 0) if d1 == 0 else (d2 % d1 == 0), M
+        kernel = integer_kernel(M)
+        assert len(kernel) == cols - sum(1 for d in diag if d)
+        for k in kernel:
+            assert apply(M, k) == [0] * rows, (M, k)
+        b = apply(M, [rng.randint(-4, 4) for _ in range(cols)])
+        x = integer_solve(M, b)
+        assert x is not None and apply(M, x) == b, (M, b)
+        b = [rng.randint(-4, 4) for _ in range(rows)]
+        x = integer_solve(M, b)
+        assert x is None or apply(M, x) == b, (M, b)
+
+
+@pytest.mark.parametrize("M,D,U,V", [
+    # the divisibility fix turns diag(2, 3) into diag(1, 6)
+    ([[2, 0], [0, 3]], [[1, 0], [0, 6]],
+     [[-1, 1], [-3, 2]], [[1, -3], [1, -2]]),
+    # the sign pass after the divisibility fix makes d_1 positive
+    ([[2, 10], [-54, 9], [0, 24]], [[1, 0], [0, 6], [0, 0]],
+     [[-82, -3, 35], [-165, -6, 70], [216, 8, -93]], [[-4, 7], [1, -2]]),
+])
+def test_smith_normal_form_pinned(M, D, U, V):
+    # U and V are pinned, not only D: integer_kernel reads its basis off V
+    assert smith_normal_form(M) == (D, U, V)

@@ -1,0 +1,66 @@
+"""Source hygiene, checked with ast: no module in src/tmfkit keeps an unused
+import, or a private function, class or method that nothing refers to."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tmfkit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def names_used(tree):
+    """Every identifier the module reads: bare names, attribute names, and
+    the strings listed in __all__ (re-exports count as uses)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(e.value for e in node.value.elts)
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    used = names_used(tree)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append(name)
+    assert [name for name in bound if name not in used] == []
+
+
+def test_no_unreferenced_private_definitions():
+    assert MODULES, PACKAGE
+    trees = {path.name: parse(path) for path in MODULES}
+    used = set()
+    for tree in trees.values():
+        used |= names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            defined.append((name, node))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((name, item) for item in node.body)
+    unreferenced = [
+        "%s:%s" % (name, node.name) for name, node in defined
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used]
+    assert unreferenced == []

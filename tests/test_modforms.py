@@ -163,8 +163,12 @@ class TestInjectivity:
         assert rep["not_visible"] == []
 
     def test_insufficient_precision_reported(self):
+        # two q-coefficients separate at most two forms
         rep = qexp_injectivity_check(48, 2)
-        assert not rep["all_independent"] or rep["not_visible"] == []
+        assert rep["all_independent"] is False
+        assert rep["not_visible"] == [k for k in range(49) if dimension(k) > 2]
+        assert rep["not_visible"][:3] == [24, 28, 30]
+        assert rep["not_visible"][-1] == 48
 
 
 class TestSerialization:

@@ -189,6 +189,26 @@ class TestDivision:
         with pytest.raises((AlgebraError, NotDivisible)):
             f.divide_exact(g)
 
+    # the elimination route: one variable with a non-unit lead coefficient,
+    # or several variables
+    @pytest.mark.parametrize("f,g,laurent,terms,precision,lowest", [
+        (zt(5, {(1,): 2, (2,): 4}), zt(5, {(1,): 2}), False,
+         {(0,): 1, (1,): 2}, 4, 0),
+        (zt(6, {(0,): 2}), zt(6, {(2,): 2}), True, {(-2,): 1}, 2, -2),
+        (zt(6, {(0,): 6, (1,): 3}), zt(6, {(0,): 3, (1,): 3}), False,
+         {(0,): 2, (1,): -1, (2,): 1, (3,): -1, (4,): 1, (5,): -1}, 6, 0),
+        (Series(ZZ, ("x", "y"), 5, {(1, 0): 2, (1, 1): 2}),
+         Series(ZZ, ("x", "y"), 5, {(1, 0): 2}), False,
+         {(0, 0): 1, (0, 1): 1}, 4, 0),
+    ], ids=["2t+4t^2 by 2t", "2 by 2t^2", "6+3t by 3+3t", "2x+2xy by 2x"])
+    def test_non_unit_lead(self, f, g, laurent, terms, precision, lowest):
+        h = f.divide_exact(g, allow_laurent=laurent)
+        assert (h.terms, h.precision, h.lowest) == (terms, precision, lowest)
+        assert (h * g).agrees_with(f, h.precision)
+        if lowest < 0:
+            with pytest.raises(NotDivisible):
+                f.divide_exact(g)
+
 
 class TestSerialization:
     def test_roundtrip(self):
@@ -541,3 +561,57 @@ def test_product_with_large_coprime_denominators(R):
     assert p.coeff((1, 1)) == Fraction(5 - 3 * big7 ** 2, big7 * big11 ** 2)
     assert p.coeff((2, 0)) == Fraction(1, big11)   # 7^20 cancels
     assert p.coeff((1, 2)) == Fraction(-4, big7 ** 2)
+
+
+# -- divide_exact: every route multiplies back -------------------------------
+
+def non_units(R):
+    """Nonzero non-units that divide exactly in a domain (none in a field;
+    Z/m is left out: its non-units are zero divisors)."""
+    if R == ZZ:
+        return [2, -3, 6]
+    if isinstance(R, LocalizedIntegers):
+        return ([Fraction(3), Fraction(-6, 5)] if R.at is not None
+                else [Fraction(3), Fraction(5, 2)])
+    return []
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_division_multiplies_back(R):
+    rng = random.Random("divide %r" % (R,))
+    seen = {"unit constant": 0, "shift": 0, "eliminate 1 var": 0,
+            "eliminate 2-3 vars": 0, "laurent": 0}
+    for case in range(60):
+        vars = VARS[case % 3]
+        top = (8, 5, 4)[case % 3]
+        v = rng.choice([0, 1, 1, 2])
+        g = random_series(rng, R, vars, rng.randint(v + 1, top), v + 1)
+        lead = rng.choice(some_units(R) + non_units(R))
+        g = g + Series(R, vars, g.precision,
+                       {(v,) + (0,) * (len(vars) - 1): lead})
+        q = random_series(rng, R, vars, rng.randint(1, top),
+                          rng.choice([0, 0, 1]))
+        if len(vars) == 1 and case % 2:
+            q = laurent_series(rng, R, rng.randint(1, top), -rng.randint(1, 2))
+        try:
+            f = q * g
+        except AlgebraError:   # a Laurent q can exhaust the window
+            continue
+        try:
+            h = f.divide_exact(g, allow_laurent=q.lowest < 0)
+        except AlgebraError as exc:
+            # only the precision guard may refuse an exact quotient
+            assert not isinstance(exc, NotDivisible), (f, g)
+            continue
+        assert (h * g).agrees_with(f, h.precision), (f, g)
+        if R.is_unit(g.constant_term()):
+            seen["unit constant"] += 1
+        elif len(vars) == 1 and R.is_unit(lead):
+            seen["shift"] += 1
+        else:
+            seen["eliminate %s" % ("1 var" if len(vars) == 1
+                                   else "2-3 vars")] += 1
+        seen["laurent"] += h.lowest < 0
+    if not non_units(R):   # every one-variable lead is a unit
+        del seen["eliminate 1 var"]
+    assert min(seen.values()) >= 2, seen

@@ -266,6 +266,11 @@ class TestSupersingularPolynomials:
         with pytest.raises(AlgebraError):
             supersingular_polynomial(15)
 
+    def test_cap_error_names_prime_and_cap(self):
+        with pytest.raises(AlgebraError,
+                           match=r"p = 103 exceeds the desk-scale cap 101"):
+            supersingular_polynomial(103)
+
     def test_json_shape(self):
         blob = supersingular_polynomial(11).to_json()
         assert blob["p"] == 11
