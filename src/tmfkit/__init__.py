@@ -3,9 +3,10 @@ forms, and the 3-local descent chart with its -21-shifted duality.
 
 Everything is computed over exact coefficient rings (Z, Q, Z/m, F_p, Z with
 primes inverted or localized, quadratic extensions); no floating point
-anywhere.  The subpackages:
+anywhere.  The modules:
 
-- ``algebra``  -- coefficient rings and multivariate polynomials
+- ``algebra``  -- coefficient rings, univariate polynomials, and the integer
+  Smith normal form
 - ``series``   -- truncated (multi)power series with exact precision tracking
 - ``fgl``      -- formal group laws, heights, and regular-sequence checks
 - ``weierstrass`` -- curves, invariants, curve formal groups, Hasse

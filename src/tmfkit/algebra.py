@@ -9,7 +9,9 @@ the power-series layer, which pushes many coefficient operations per term.
 """
 
 from fractions import Fraction
+import json
 import math
+import operator
 
 
 class AlgebraError(Exception):
@@ -49,8 +51,24 @@ def is_prime(n):
     return True
 
 
+def power(x, n, one, mul=operator.mul):
+    """x^n for n >= 0 by square and multiply: on each bit of n, r = r * x
+    if the bit is set, then x = x * x."""
+    if n < 0:
+        raise AlgebraError("negative power %d" % n)
+    r = one
+    while n:
+        if n & 1:
+            r = mul(r, x)
+        x = mul(x, x)
+        n >>= 1
+    return r
+
+
 class Ring:
-    """Base descriptor.  Subclasses define canonical payloads and arithmetic."""
+    """Base descriptor.  A ring is identified by its to_json() descriptor,
+    which ring_from_json inverts.  The number arithmetic a + b, -a, a * b is
+    stated here; rings whose payloads need reducing override it."""
 
     kind = None
 
@@ -60,6 +78,23 @@ class Ring:
     # integer s over D.  Series products then multiply and add plain ints
     # and map each output coefficient back once.
     to_cleared = None
+
+    def __eq__(self, other):
+        # identity first: series operations compare rings on every call
+        return self is other or (isinstance(other, Ring)
+                                 and self.to_json() == other.to_json())
+
+    def __hash__(self):
+        return hash(json.dumps(self.to_json(), sort_keys=True))
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
 
     def eq(self, a, b):
         return a == b
@@ -73,28 +108,16 @@ class Ring:
     def characteristic(self):
         return 0
 
-    def is_finite(self):
-        return False
-
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        r = self.one
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return power(a, n, self.one, self.mul)
 
     def sum(self, items):
         r = self.zero
         for it in items:
             r = self.add(r, it)
         return r
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def coeff_to_json(self, a):
         return a
@@ -110,15 +133,6 @@ class Integers(Ring):
     kind = "Integers"
     zero = 0
     one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def from_int(self, n):
         return n
@@ -139,12 +153,6 @@ class Integers(Ring):
             raise NotDivisible("%r not divisible by %r in Z" % (a, b))
         return q
 
-    def __eq__(self, other):
-        return isinstance(other, Integers)
-
-    def __hash__(self):
-        return hash(self.kind)
-
     def __repr__(self):
         return "Z"
 
@@ -161,15 +169,6 @@ class Rationals(Ring):
     kind = "Rationals"
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def from_int(self, n):
         return Fraction(n)
@@ -198,12 +197,6 @@ class Rationals(Ring):
             raise NotDivisible("division by zero")
         return a / b
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash(self.kind)
-
     def __repr__(self):
         return "Q"
 
@@ -230,7 +223,7 @@ class Rationals(Ring):
         return "%d/%d" % (a.numerator, a.denominator)
 
 
-class LocalizedIntegers(Ring):
+class LocalizedIntegers(Rationals):
     """Z with a fixed set of primes inverted (Z[1/2]) or a single prime kept
     non-invertible (Z localized at p).  Payloads are Fractions whose
     denominators are checked on construction via check()."""
@@ -246,8 +239,6 @@ class LocalizedIntegers(Ring):
         if at is not None and not is_prime(at):
             raise AlgebraError("%d is not prime" % at)
         self.kind = "ZInverted" if at is None else "ZLocalAt"
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
 
     def check(self, a):
         d = a.denominator
@@ -262,18 +253,6 @@ class LocalizedIntegers(Ring):
             raise AlgebraError("denominator of %s not supported in Z[%s]" %
                                (a, ",".join("1/%d" % q for q in self.inverted)))
         return a
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def is_unit(self, a):
         if a == 0:
@@ -298,13 +277,6 @@ class LocalizedIntegers(Ring):
         except AlgebraError:
             raise NotDivisible("%s not divisible by %s here" % (a, b))
 
-    def __eq__(self, other):
-        return (isinstance(other, LocalizedIntegers)
-                and other.inverted == self.inverted and other.at == self.at)
-
-    def __hash__(self):
-        return hash((self.kind, self.inverted, self.at))
-
     def __repr__(self):
         if self.at is not None:
             return "Z_(%d)" % self.at
@@ -315,21 +287,17 @@ class LocalizedIntegers(Ring):
             return {"kind": "ZLocalAt", "p": self.at}
         return {"kind": "ZInverted", "inverted": list(self.inverted)}
 
-    to_cleared = Rationals.to_cleared
-    from_cleared = Rationals.from_cleared
-    coeff_to_json = Rationals.coeff_to_json
-    coeff_str = Rationals.coeff_str
-
     def coeff_from_json(self, obj):
-        return self.check(Rationals.coeff_from_json(self, obj))
+        return self.check(super().coeff_from_json(obj))
 
 
 class IntegersMod(Ring):
+    kind = "IntegersMod"
+
     def __init__(self, m):
         if m < 2:
             raise AlgebraError("modulus must be >= 2")
         self.m = m
-        self.kind = "IntegersMod"
         self.zero = 0
         self.one = 1 % m
 
@@ -361,18 +329,6 @@ class IntegersMod(Ring):
     def characteristic(self):
         return self.m
 
-    def is_finite(self):
-        return True
-
-    def elements(self):
-        return range(self.m)
-
-    def __eq__(self, other):
-        return isinstance(other, IntegersMod) and other.m == self.m and other.kind == self.kind
-
-    def __hash__(self):
-        return hash((self.kind, self.m))
-
     def __repr__(self):
         return "Z/%d" % self.m
 
@@ -386,18 +342,16 @@ class IntegersMod(Ring):
 
 
 class PrimeField(IntegersMod):
+    kind = "PrimeField"
+
     def __init__(self, p):
         if not is_prime(p):
             raise AlgebraError("not prime: %d" % p)
         IntegersMod.__init__(self, p)
         self.p = p
-        self.kind = "PrimeField"
 
     def is_unit(self, a):
         return a % self.p != 0
-
-    def frobenius(self, a):
-        return a
 
     def __repr__(self):
         return "F_%d" % self.p
@@ -419,6 +373,8 @@ def _smallest_quad_modulus(p):
 class QuadExtField(Ring):
     """F_{p^2} = F_p[x]/(x^2 + b x + c).  Payloads (a0, a1) meaning a0 + a1 x."""
 
+    kind = "QuadExtField"
+
     def __init__(self, p, modulus=None):
         if not is_prime(p):
             raise AlgebraError("not prime: %d" % p)
@@ -432,7 +388,6 @@ class QuadExtField(Ring):
             raise AlgebraError("modulus x^2+%dx+%d is reducible mod %d" % (b, c, p))
         self.b = b
         self.c = c
-        self.kind = "QuadExtField"
         self.zero = (0, 0)
         self.one = (1 % p, 0)
 
@@ -483,22 +438,6 @@ class QuadExtField(Ring):
 
     def characteristic(self):
         return self.p
-
-    def is_finite(self):
-        return True
-
-    def elements(self):
-        # F_p first in residue order, then a + b x by (b, a) lex
-        for b in range(self.p):
-            for a in range(self.p):
-                yield (a, b)
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadExtField) and other.p == self.p
-                and other.b == self.b and other.c == self.c)
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.b, self.c))
 
     def __repr__(self):
         return "F_%d[x]/(x^2+%dx+%d)" % (self.p, self.b, self.c)
@@ -639,14 +578,7 @@ class Poly:
         return Poly(R, [R.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, n):
-        r = Poly.constant(self.ring, self.ring.one)
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
+        return power(self, n, Poly.constant(self.ring, self.ring.one))
 
     def monic(self):
         if self.is_zero():
@@ -742,24 +674,13 @@ class PolynomialRing(Ring):
     """Polynomial ring over a base ring, as a coefficient ring in its own
     right (payloads are Poly values)."""
 
+    kind = "PolynomialRing"
+
     def __init__(self, base, var="T"):
         self.base = base
         self.var = var
-        self.kind = "PolynomialRing"
         self.zero = Poly(base, [])
         self.one = Poly.constant(base, base.one)
-
-    def gen(self):
-        return Poly.x(self.base)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def from_int(self, n):
         return Poly.constant(self.base, self.base.from_int(n))
@@ -784,13 +705,6 @@ class PolynomialRing(Ring):
 
     def characteristic(self):
         return self.base.characteristic()
-
-    def __eq__(self, other):
-        return (isinstance(other, PolynomialRing) and other.base == self.base
-                and other.var == self.var)
-
-    def __hash__(self):
-        return hash((self.kind, self.base, self.var))
 
     def __repr__(self):
         return "%r[%s]" % (self.base, self.var)

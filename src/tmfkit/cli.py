@@ -60,13 +60,19 @@ def _require(payload, key, where):
     return payload[key]
 
 
+def _decode(where, fn, *args):
+    """fn(*args) on payload fields; a missing key or a value of the wrong
+    type is an input error, not a crash."""
+    try:
+        return fn(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CLIInputError("bad %s: %s" % (where, exc))
+
+
 def _curve_from_payload(payload):
     _require(payload, "ring", "curve JSON")
     _require(payload, "a", "curve JSON")
-    try:
-        return wz_mod.WeierstrassCurve.from_json(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CLIInputError("bad curve JSON: %s" % exc)
+    return _decode("curve JSON", wz_mod.WeierstrassCurve.from_json, payload)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -129,7 +135,8 @@ def _cmd_modforms_qexp(args, out):
         form = mf_mod.ModularForm.generator(payload["name"])
     else:
         _require(payload, "terms", "modular form JSON")
-        form = mf_mod.ModularForm.from_json(payload)
+        form = _decode("modular form JSON", mf_mod.ModularForm.from_json,
+                       payload)
     _emit(mf_mod.q_expansion(form, args.precision).to_json(), out)
 
 
@@ -184,7 +191,8 @@ def _presentation_from_config(cfg):
 
 def _law_from_config(cfg, precision):
     law = _require(cfg, "law", "landweber config")
-    ring = ring_from_json(cfg["ring"]) if "ring" in cfg else None
+    ring = (_decode("ring descriptor", ring_from_json, cfg["ring"])
+            if "ring" in cfg else None)
     if law == "multiplicative":
         from .algebra import ZZ
         return fgl_mod.FormalGroupLaw.multiplicative(ring or ZZ, precision)
@@ -193,11 +201,12 @@ def _law_from_config(cfg, precision):
         return fgl_mod.FormalGroupLaw.additive(ring or ZZ, precision)
     if isinstance(law, dict) and "honda" in law:
         params = law["honda"]
-        return fgl_mod.honda_fgl(int(_require(params, "p", "honda law")),
-                                 int(_require(params, "n", "honda law")),
-                                 precision)
+        return fgl_mod.honda_fgl(
+            _decode("honda law", int, _require(params, "p", "honda law")),
+            _decode("honda law", int, _require(params, "n", "honda law")),
+            precision)
     if isinstance(law, dict) and "F" in law:
-        F = Series.from_json(law["F"], ring)
+        F = _decode("series JSON", Series.from_json, law["F"], ring)
         return fgl_mod.FormalGroupLaw.validate(F)
     raise CLIInputError(
         "law must be 'multiplicative', 'additive', {'honda': {...}} or "
@@ -206,13 +215,15 @@ def _law_from_config(cfg, precision):
 
 def _cmd_landweber(args, out):
     cfg = _read_payload(args)
-    p = int(_require(cfg, "p", "landweber config"))
-    n_max = int(cfg.get("n_max", 2))
-    degree_bound = int(cfg.get("degree_bound", 4))
-    precision = int(cfg.get("precision", p ** n_max + 2))
+    where = "landweber config"
+    p = _decode(where, int, _require(cfg, "p", where))
+    n_max = _decode(where, int, cfg.get("n_max", 2))
+    degree_bound = _decode(where, int, cfg.get("degree_bound", 4))
+    precision = _decode(where, int, cfg.get("precision", p ** n_max + 2))
     law = _law_from_config(cfg, precision)
     if "presentation" in cfg:
-        pres = _presentation_from_config(cfg["presentation"])
+        pres = _decode("presentation", _presentation_from_config,
+                       cfg["presentation"])
     else:
         # default: present the law's own scalar base ring
         pres = fgl_mod.GradedRingPresentation()

@@ -57,22 +57,16 @@ class FormalGroupLaw:
         n = F.precision
         vx, vy = F.vars
 
-        x_only = {e: c for e, c in F.terms.items() if e[1] == 0}
-        if x_only != {(1, 0): R.one}:
-            bad = dict(x_only)
-            bad.pop((1, 0), None)
-            if not bad:
-                bad = {(1, 0): R.zero}
-            first = min(bad, key=lambda t: (sum(t), t))
-            raise FGLInvalid("unit axiom fails at %s" % _mon_str(F.vars, first))
-        y_only = {e: c for e, c in F.terms.items() if e[0] == 0}
-        if y_only != {(0, 1): R.one}:
-            bad = dict(y_only)
-            bad.pop((0, 1), None)
-            if not bad:
-                bad = {(0, 1): R.zero}
-            first = min(bad, key=lambda t: (sum(t), t))
-            raise FGLInvalid("unit axiom fails at %s" % _mon_str(F.vars, first))
+        # F(x, 0) = x, then F(0, y) = y
+        for axis, unit in ((1, (1, 0)), (0, (0, 1))):
+            bad = {e: c for e, c in F.terms.items() if e[axis] == 0}
+            if bad != {unit: R.one}:
+                bad.pop(unit, None)
+                if not bad:
+                    bad = {unit: R.zero}
+                first = min(bad, key=lambda t: (sum(t), t))
+                raise FGLInvalid("unit axiom fails at %s" %
+                                 _mon_str(F.vars, first))
 
         bad = [(a, b) for (a, b), c in F.terms.items()
                if not R.eq(F.coeff((b, a)), c)]
@@ -173,12 +167,8 @@ class FormalGroupLaw:
                 raise AlgebraError("logarithm requires rational coefficients")
         log = self.invariant_differential().integrate()
         # postcondition: the logarithm linearizes the law
-        n = self.precision
-        gx = Series.gen(R, self.vars, n, self.vars[0])
-        gy = Series.gen(R, self.vars, n, self.vars[1])
         lhs = log.compose(self.F)
-        rhs = log.rename(self.vars, [0]).subst([gx, gy]) + \
-            log.rename(self.vars, [1]).subst([gx, gy])
+        rhs = log.rename(self.vars, [0]) + log.rename(self.vars, [1])
         if lhs != rhs:
             raise InternalCheckError("logarithm failed to linearize the law")
         return log
@@ -199,11 +189,8 @@ def check_homomorphism(phi, F, G):
         raise AlgebraError("phi needs positive valuation")
     R = phi.ring
     n = min(phi.precision, F.precision, G.precision)
-    vx, vy = F.vars
-    gx = Series.gen(R, F.vars, n, vx)
-    gy = Series.gen(R, F.vars, n, vy)
-    phix = phi.rename(F.vars, [0]).subst([gx, gy])
-    phiy = phi.rename(F.vars, [1]).subst([gx, gy])
+    phix = phi.rename(F.vars, [0]).truncate(n)
+    phiy = phi.rename(F.vars, [1]).truncate(n)
     lhs = phi.compose(F.F)
     rhs = G.F.subst([phix, phiy])
     is_hom = lhs.agrees_with(rhs, upto=n)
@@ -288,10 +275,7 @@ def honda_fgl(p, n, precision):
         i += 1
     log = Series(QQ, ("t",), N, terms)
     exp = log.reverse()
-    gx = Series.gen(QQ, ("x", "y"), N, "x")
-    gy = Series.gen(QQ, ("x", "y"), N, "y")
-    lsum = log.rename(("x", "y"), [0]).subst([gx, gy]) + \
-        log.rename(("x", "y"), [1]).subst([gx, gy])
+    lsum = log.rename(("x", "y"), [0]) + log.rename(("x", "y"), [1])
     F_q = exp.compose(lsum)
     Fp = PrimeField(p)
     for e, c in F_q.terms.items():

@@ -9,7 +9,7 @@ Eisenstein substitution c4 -> E4(q), c6 -> -E6(q).
 from functools import lru_cache
 
 from .algebra import (ZZ, AlgebraError, InternalCheckError,
-                      abelian_group_structure)
+                      abelian_group_structure, power)
 from .series import Series
 
 #: weight of each polynomial generator
@@ -146,10 +146,7 @@ class ModularForm:
     def __pow__(self, k):
         if k < 0:
             raise AlgebraError("negative powers are not modular forms")
-        out = ModularForm.one(self.ring)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, ModularForm.one(self.ring))
 
     def __eq__(self, other):
         return (isinstance(other, ModularForm) and self.ring == other.ring

@@ -12,7 +12,7 @@ convolve plain ints; see _product.
 
 from operator import add, mul
 
-from .algebra import AlgebraError, NotDivisible, InternalCheckError
+from .algebra import AlgebraError, NotDivisible, InternalCheckError, power
 
 
 def _product(R, t1, t2, n):
@@ -223,14 +223,7 @@ class Series:
     def __pow__(self, k):
         if k < 0:
             raise AlgebraError("negative series powers not supported")
-        r = Series.one(self.ring, self.vars, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                r = r * base
-            base = base * base
-            k >>= 1
-        return r
+        return power(self, k, Series.one(self.ring, self.vars, self.precision))
 
     def shift(self, k):
         """Multiply by the k-th power of the single variable (k may be

@@ -47,7 +47,6 @@ class TestIntegers:
         assert ZZ.mul(-4, 6) == -24
         assert ZZ.sub(2, 9) == -7
         assert ZZ.characteristic() == 0
-        assert not ZZ.is_finite()
 
     def test_units(self):
         assert ZZ.is_unit(1) and ZZ.is_unit(-1)
@@ -86,7 +85,6 @@ class TestIntegersMod:
         R = IntegersMod(12)
         assert R.add(R.from_int(7), R.from_int(8)) == R.from_int(3)
         assert R.characteristic() == 12
-        assert R.is_finite()
 
     def test_units(self):
         R = IntegersMod(12)
@@ -189,6 +187,9 @@ class TestPoly:
         assert f.coeffs == (1, 2, 1)
         assert (f - f).is_zero()
         assert f.evaluate(3) == 16
+        assert (x ** 0).coeffs == (1,)
+        with pytest.raises(AlgebraError):
+            x ** -1
 
     def test_divmod(self):
         F = PrimeField(7)
@@ -259,6 +260,35 @@ def test_coeff_json_roundtrip(ring, a):
     x = ring.from_int(a)
     blob = json.dumps(ring.coeff_to_json(x))
     assert ring.eq(ring.coeff_from_json(json.loads(blob)), x)
+
+
+# -- ring identity: a ring is its to_json() descriptor ------------------------
+
+EVERY_KIND = [ZZ, QQ, IntegersMod(12), PrimeField(7), QuadExtField(5),
+              QuadExtField(7, modulus=(1, 0, 1)),
+              LocalizedIntegers(inverted=(2,)), LocalizedIntegers(at=3),
+              PolynomialRing(PrimeField(3))]
+
+
+@pytest.mark.parametrize("ring", EVERY_KIND, ids=repr)
+def test_ring_identity_roundtrips(ring):
+    again = ring_from_json(json.loads(json.dumps(ring.to_json())))
+    assert again == ring and not again != ring
+    assert hash(again) == hash(ring)
+    assert [R for R in EVERY_KIND if R == ring] == [ring]
+
+
+@pytest.mark.parametrize("a,b", [
+    (PrimeField(7), IntegersMod(7)),
+    (QQ, LocalizedIntegers(inverted=(2,))),
+    (QQ, LocalizedIntegers(at=3)),
+    (LocalizedIntegers(inverted=(3,)), LocalizedIntegers(at=3)),
+    (QuadExtField(5), QuadExtField(5, modulus=(3, 0, 1))),
+    (PolynomialRing(PrimeField(3)), PolynomialRing(PrimeField(3), "S")),
+], ids=repr)
+def test_ring_identity_distinguishes(a, b):
+    assert a != b and b != a
+    assert not a == b and not b == a
 
 
 # -- Smith normal form and the integer solvers built on it -------------------

@@ -235,6 +235,35 @@ class TestErrorHandling:
         assert code == 2
 
 
+class TestMalformedFields:
+    """A field of the wrong shape is an input error: exit 2 with a message,
+    never a traceback."""
+
+    def run(self, argv, stdin=""):
+        proc = subprocess.run([sys.executable, "-m", "tmfkit.cli"] + argv,
+                              input=stdin, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("input error: ")
+
+    def test_qexp_term_without_a(self):
+        form = {"ring": {"kind": "Integers"},
+                "terms": [{"b": 0, "c": 0, "coeff": 1}]}
+        self.run(["modforms", "qexp", "--precision", "5"], json.dumps(form))
+
+    @pytest.mark.parametrize("cfg", [
+        {"law": "multiplicative", "ring": {"kind": "IntegersMod"}, "p": 3},
+        {"law": "multiplicative", "p": "x"},
+        {"law": {"honda": {"p": "x", "n": 1}}, "p": 3},
+        {"law": "multiplicative", "p": 3, "presentation": [1]},
+    ], ids=["ring-without-m", "p-not-integer", "honda-p-not-integer",
+            "presentation-not-object"])
+    def test_landweber_config(self, tmp_path, cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        self.run(["landweber", "--config", str(path)])
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         outs = {run_cli(["tmf", "chart", "--window", "-26..26"])[1]

@@ -39,6 +39,20 @@ class TestValidation:
         with pytest.raises(FGLInvalid):
             FormalGroupLaw.validate(F)
 
+    @pytest.mark.parametrize("terms,where", [
+        ({(1, 0): 2, (0, 1): 1}, "x"),
+        ({(0, 0): 1, (1, 0): 1, (0, 1): 1}, "1"),
+        # both axes fail; F(x, 0) = x is checked first
+        ({(1, 0): 1, (0, 1): 1, (2, 0): 1, (0, 3): 1}, "x^2"),
+        ({(1, 0): 1, (1, 1): 1}, "y"),
+        ({(1, 0): 1, (0, 1): 1, (0, 3): 1}, "y^3"),
+    ])
+    def test_unit_axiom_reports_monomial(self, terms, where):
+        F = Series(ZZ, ("x", "y"), 5, terms)
+        with pytest.raises(FGLInvalid) as exc:
+            FormalGroupLaw.validate(F)
+        assert str(exc.value) == "unit axiom fails at %s" % where
+
     def test_noncommutative_rejected(self):
         F = Series(ZZ, ("x", "y"), 5,
                    {(1, 0): 1, (0, 1): 1, (2, 1): 1})

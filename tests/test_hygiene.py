@@ -1,10 +1,13 @@
 """Source hygiene, checked with ast: no module in src/tmfkit keeps an unused
-import, or a private function, class or method that nothing refers to."""
+import, or a private function, class or method that nothing refers to, and
+no coefficient ring keeps a method that nothing names."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from tmfkit import algebra
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tmfkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -63,4 +66,21 @@ def test_no_unreferenced_private_definitions():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in used]
+    assert unreferenced == []
+
+
+def test_no_unreferenced_ring_methods():
+    """Every method that Ring or a subclass defines is named somewhere in
+    src/tmfkit: the coefficient rings keep no dead methods."""
+    used = set()
+    for path in MODULES:
+        used |= names_used(parse(path))
+    rings = [cls for cls in vars(algebra).values()
+             if isinstance(cls, type) and issubclass(cls, algebra.Ring)]
+    assert len(rings) > 1
+    unreferenced = [
+        "%s.%s" % (cls.__name__, name) for cls in rings
+        for name, value in vars(cls).items()
+        if callable(value) and not name.startswith("__")
+        and name not in used]
     assert unreferenced == []
