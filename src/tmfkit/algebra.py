@@ -53,15 +53,16 @@ def is_prime(n):
 
 def power(x, n, one, mul=operator.mul):
     """x^n for n >= 0 by square and multiply: on each bit of n, r = r * x
-    if the bit is set, then x = x * x."""
+    if the bit is set, then x = x * x unless that was the top bit."""
     if n < 0:
         raise AlgebraError("negative power %d" % n)
     r = one
     while n:
         if n & 1:
             r = mul(r, x)
-        x = mul(x, x)
         n >>= 1
+        if n:
+            x = mul(x, x)
     return r
 
 

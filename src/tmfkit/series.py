@@ -6,18 +6,49 @@ A single-variable Laurent mode (negative exponents down to a stated bound)
 exists for the handful of places that need a simple pole; multivariate
 Laurent content is rejected.
 
-Over Q and its localizations, products clear denominators once per call and
+The product kernels (_product and inverse_unit) key a monomial by one int,
+the packed exponent vectors of Monagan & Pearce (CASC 2007): the exponent
+itself with one variable, and the exponents as digits in base n, the degree
+bound, with two or three (e0*n + e1, or (e0*n + e1)*n + e2).  Only Laurent
+series have negative exponents, and they have one variable; so a pair of
+total degree below n has every component of its sum below n, and the keys
+add with no carry.  Terms that meet no partner below n are dropped before
+packing: at base n, (0, n) and (1, 0) would share the key n.  Over Q and
+its localizations, products also clear denominators once per call and
 convolve plain ints; see _product.
 """
 
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .algebra import AlgebraError, NotDivisible, InternalCheckError, power
+
+
+def _packing(k, n):
+    """(pack, unpack) between exponent tuples of k variables and int keys:
+    the exponent itself for k = 1, base-n digits for k = 2 or 3.  Exact for
+    tuples whose components lie in [0, n) (any exponent when k = 1)."""
+    if k == 1:
+        return itemgetter(0), lambda key: (key,)
+    if k == 2:
+        return (lambda e: e[0] * n + e[1]), (lambda key: divmod(key, n))
+    return ((lambda e: (e[0] * n + e[1]) * n + e[2]),
+            (lambda key: divmod(key // n, n) + (key % n,)))
 
 
 def _product(R, t1, t2, n):
     """Terms of the product of two term dicts below total degree n.  Zero
     coefficients may be left in; the Series constructor drops them.
+
+    Monomials are keyed by _packing at base n.  A term of degree d meets
+    the other factor below n only if d plus that factor's least degree is
+    below n; the other terms are dropped before packing, so every packed
+    multivariate term has its components below n and a key of its own.  The
+    second factor is sorted by degree and the pair loop breaks at the first
+    partner that reaches n.  So a kept pair has degree below n, and with two
+    or three variables no negative component: every component of its
+    exponent sum is below n, and the sum of the two keys is the key of that
+    sum, with no carry.  The int-keyed accumulator is decoded back to
+    tuples once per output term.
 
     When R has the to_cleared hook (Q and the localized integers), each
     factor is cleared once, c = a / D with D the lcm of its denominators,
@@ -27,29 +58,34 @@ def _product(R, t1, t2, n):
     those of ring arithmetic pair by pair (the layout of FLINT's fmpq_poly,
     integer numerators over a common denominator).  Other rings use R.add
     and R.mul."""
-    by_degree = sorted(((sum(e), e, c) for e, c in t2.items()),
-                       key=lambda t: t[0])
+    if not t1 or not t2:
+        return {}
+    f1 = [(sum(e), e, c) for e, c in t1.items()]
+    f2 = sorted(((sum(e), e, c) for e, c in t2.items()), key=itemgetter(0))
+    cut1, cut2 = n - f2[0][0], n - min(d for d, _, _ in f1)
+    pack, unpack = _packing(len(f2[0][1]), n)
+    f1 = [(n - d, pack(e), c) for d, e, c in f1 if d < cut1]
+    f2 = [(d, pack(e), c) for d, e, c in f2 if d < cut2]
     plus, times = R.add, R.mul
     cleared = R.to_cleared is not None
     if cleared:
-        c1s, D1 = R.to_cleared(list(t1.values()))
-        c2s, D2 = R.to_cleared([c for _, _, c in by_degree])
-        t1 = dict(zip(t1, c1s))
-        by_degree = [(d, e, c) for (d, e, _), c in zip(by_degree, c2s)]
+        c1s, D1 = R.to_cleared([c for _, _, c in f1])
+        c2s, D2 = R.to_cleared([c for _, _, c in f2])
+        f1 = [(r, k, c) for (r, k, _), c in zip(f1, c1s)]
+        f2 = [(d, k, c) for (d, k, _), c in zip(f2, c2s)]
         plus, times = add, mul
     out = {}
-    for e1, c1 in t1.items():
-        room = n - sum(e1)
-        for d2, e2, c2 in by_degree:
+    for room, k1, c1 in f1:
+        for d2, k2, c2 in f2:
             if d2 >= room:
                 break
-            e = tuple(map(add, e1, e2))
+            k = k1 + k2
             p = times(c1, c2)
-            out[e] = plus(out[e], p) if e in out else p
+            out[k] = plus(out[k], p) if k in out else p
     if not cleared:
-        return out
+        return {unpack(k): c for k, c in out.items()}
     D, back = D1 * D2, R.from_cleared
-    return {e: back(s, D) for e, s in out.items()}
+    return {unpack(k): back(s, D) for k, s in out.items()}
 
 
 def _horner(R, part, g, v, n, top, k=0):
@@ -427,23 +463,27 @@ class Series:
         c0i = R.inv(c0)
         m = R.neg(c0i)
         n = self.precision
+        # every degree is below n and no exponent is negative: the keys of
+        # _product add without carry
+        pack, unpack = _packing(len(self.vars), n)
         f = [[] for _ in range(n)]
         for e, c in self.terms.items():
-            f[sum(e)].append((e, c))
-        q = [{(0,) * len(self.vars): c0i}]
+            f[sum(e)].append((pack(e), c))
+        q = [{0: c0i}]
         out = dict(q[0])
         for d in range(1, n):
             s = {}
             for j in range(1, d + 1):
-                for e1, c1 in f[j]:
-                    for e2, c2 in q[d - j].items():
-                        e = tuple(map(add, e1, e2))
+                for k1, c1 in f[j]:
+                    for k2, c2 in q[d - j].items():
+                        k = k1 + k2
                         p = R.mul(c1, c2)
-                        s[e] = R.add(s[e], p) if e in s else p
-            q.append({e: R.mul(m, c) for e, c in s.items()
+                        s[k] = R.add(s[k], p) if k in s else p
+            q.append({k: R.mul(m, c) for k, c in s.items()
                       if not R.is_zero(c)})
             out.update(q[d])
-        return Series(R, self.vars, n, out)
+        return Series(R, self.vars, n,
+                      {unpack(k): c for k, c in out.items()})
 
     def divide_exact(self, g, allow_laurent=False):
         """f/g by the first of three routes that applies:

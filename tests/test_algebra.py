@@ -12,7 +12,7 @@ from tmfkit.algebra import (
     AlgebraError, InternalCheckError, NotDivisible, NotInvertible,
     ZZ, QQ, IntegersMod, PrimeField, LocalizedIntegers, QuadExtField,
     Poly, PolynomialRing, ring_from_json, is_prime, poly_gcd,
-    smith_normal_form, integer_solve, integer_kernel,
+    smith_normal_form, integer_solve, integer_kernel, power,
 )
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -218,6 +218,24 @@ class TestPoly:
         R = PolynomialRing(PrimeField(3))
         a = Poly.from_ints(PrimeField(3), [1, 1])
         assert R.mul(a, a).coeffs == (1, 2, 1)
+
+
+def test_power_multiplies_only_what_it_reads():
+    # square and multiply: one product per set bit and one squaring per bit
+    # below the top one; the square after the top bit would never be read
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for n in range(70):
+        calls.clear()
+        assert power(3, n, 1, mul) == 3 ** n
+        want = n.bit_length() - 1 + bin(n).count("1") if n else 0
+        assert len(calls) == want, n
+    with pytest.raises(AlgebraError):
+        power(3, -1, 1, mul)
 
 
 # -- randomized ring axioms -------------------------------------------------

@@ -530,6 +530,43 @@ def test_product_matches_all_pairs(R):
     assert min(seen.values()) >= 5, seen
 
 
+def dense_series(rng, R, vars, precision, low=0):
+    """Every monomial of total degree in [low, precision), each with a unit
+    coefficient, so that no term is missing."""
+    if len(vars) == 1:
+        terms = {(d,): rng.choice(some_units(R))
+                 for d in range(low, precision)}
+        return Series(R, vars, precision, terms, min(low, 0))
+    terms = {e: rng.choice(some_units(R)) for d in range(precision)
+             for e in monomials(len(vars), d)}
+    return Series(R, vars, precision, terms)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_product_packing_edges(R):
+    # _product keys a multivariate monomial by its exponents read as digits
+    # in base n.  Dense factors, checked at every n from -1 up, hold the
+    # monomials that alias under that packing if terms of degree >= n are
+    # packed ((0, n) and (1, 0); (n, 0) and (n - 1, n); (0, 0, n) and
+    # (0, 1, 0)), components that reach n - 1, Laurent tails down to t^-3,
+    # empty factors and unequal precisions.
+    rng = random.Random("packing %r" % (R,))
+    cases = []
+    for vars, pa, pb in [(("x", "y"), 5, 5), (("x", "y"), 6, 3),
+                         (("a", "b", "c"), 4, 4), (("a", "b", "c"), 5, 2)]:
+        a = dense_series(rng, R, vars, pa)
+        b = dense_series(rng, R, vars, pb)
+        cases += [(a, b), (a, Series.zero(R, vars, pb))]
+    for low in (-1, -2, -3):
+        a = dense_series(rng, R, ("t",), rng.randint(1, 5), low)
+        cases += [(a, dense_series(rng, R, ("t",), 6, -1)),
+                  (a, dense_series(rng, R, ("t",), 3)),
+                  (a, Series.zero(R, ("t",), 4, low))]
+    for a, b in cases:
+        assert_product_matches(a, b)
+        assert_product_matches(b, a)
+
+
 @pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_product_cancellation_leaves_no_zero_terms(R):
     # (c x + c y)(c x - c y) = c^2 x^2 - c^2 y^2, with y the last variable
