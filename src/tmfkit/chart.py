@@ -210,26 +210,20 @@ def d9_torsion(e, f, c):
     return (1, (0, f + 5, c - 2))
 
 
-def _free_rule(r, s, kind, mon):
-    """Differential d_r on a free basis direction, as (coeff, target class).
+def _free_shape(s, kind, mon):
+    """The torsion shape (e, f, c) a free basis direction maps like, or None.
 
-    d5 hits the pure Delta^c direction of the zero line with coefficient c;
-    d9 hits the unscaled dual direction (Delta^m)-dual of the s = 1 lattice
-    in weight 12m exactly as the class alpha*Delta^(-m-1) would map.
+    d5 hits the pure Delta^c direction of the zero line as it hits
+    Delta^c, with coefficient c; d9 hits the unscaled dual direction
+    (Delta^m)-dual of the s = 1 lattice in weight 12m exactly as the class
+    alpha*Delta^(-m-1) would map.
     """
-    if r == 5 and s == 0 and kind == "mf" and _is_pure_delta(mon):
-        return d5_torsion(0, 0, mon[2])
-    if r == 9 and s == 1 and kind == "dual" and _is_pure_delta(mon):
-        return d9_torsion(1, 0, -mon[2] - 1)
-    return None
-
-
-def _tors_rule(r, shape):
-    e, f, c = shape
-    if r == 5:
-        return d5_torsion(e, f, c)
-    if r == 9:
-        return d9_torsion(e, f, c)
+    if not _is_pure_delta(mon):
+        return None
+    if s == 0 and kind == "mf":
+        return (0, 0, mon[2])
+    if s == 1 and kind == "dual":
+        return (1, 0, -mon[2] - 1)
     return None
 
 
@@ -254,12 +248,14 @@ class ChartPage:
 
 
 def _run_page(groups, r, trusted):
-    """Apply d_r to a BigradedGroup; returns (new groups, arrows).
+    """Apply d_r (r = 5 or 9) to a BigradedGroup; returns (new groups,
+    arrows).  A free direction maps like the torsion class of _free_shape.
 
     ``trusted`` is a predicate on (s, t) limiting the internal-consistency
     asserts to the region whose sources and targets are fully materialized.
     """
     shift = (r, (r - 1) // 2)
+    d_r = {5: d5_torsion, 9: d9_torsion}[r]
     entries = groups.entries
     arrows = []
     scale_up = {}      # (s,t) -> set of free indices whose direction triples
@@ -277,49 +273,35 @@ def _run_page(groups, r, trusted):
 
     for (s, t), ent in sorted(entries.items()):
         target_st = (s + shift[0], t + shift[1])
-        hits = 0
+        maps = []      # (marked sources, index, source label, coeff, target)
         for i, (kind, mon, scale) in enumerate(ent.free):
-            rule = _free_rule(r, s, kind, mon)
-            if rule is None:
-                continue
-            coeff = (rule[0] * scale) % 3
-            if coeff == 0:
-                continue
-            hits += 1
-            scale_up.setdefault((s, t), set()).add(i)
-            j = _target_index(target_st, rule[1])
-            if j is None:
-                if trusted(*target_st):
-                    raise InternalCheckError(
-                        "d%d target %s missing at (%d, %d)"
-                        % (r, _tors_label(*rule[1]), *target_st))
-            else:
-                dies_in.setdefault(target_st, set()).add(j)
-            arrows.append({
-                "page": r, "from": [s, t], "to": list(target_st),
-                "source": _free_label(kind, mon, scale),
-                "target": _tors_label(*rule[1]), "coefficient": coeff,
-            })
-        if hits > 1:
+            shape = _free_shape(s, kind, mon)
+            rule = shape and d_r(*shape)
+            coeff = rule and (rule[0] * scale) % 3
+            if coeff:
+                maps.append((scale_up, i, _free_label(kind, mon, scale),
+                             coeff, rule[1]))
+        if len(maps) > 1:
             raise InternalCheckError(
                 "more than one free direction maps at (%d, %d)" % (s, t))
         for i, shape in enumerate(ent.torsion):
-            rule = _tors_rule(r, shape)
-            if rule is None:
-                continue
-            dies_out.setdefault((s, t), set()).add(i)
-            j = _target_index(target_st, rule[1])
+            rule = d_r(*shape)
+            if rule is not None:
+                maps.append((dies_out, i, _tors_label(*shape)) + rule)
+        for marked, i, source, coeff, cls in maps:
+            marked.setdefault((s, t), set()).add(i)
+            j = _target_index(target_st, cls)
             if j is None:
                 if trusted(*target_st):
                     raise InternalCheckError(
                         "d%d target %s missing at (%d, %d)"
-                        % (r, _tors_label(*rule[1]), *target_st))
+                        % (r, _tors_label(*cls), *target_st))
             else:
                 dies_in.setdefault(target_st, set()).add(j)
             arrows.append({
                 "page": r, "from": [s, t], "to": list(target_st),
-                "source": _tors_label(*shape),
-                "target": _tors_label(*rule[1]), "coefficient": rule[0],
+                "source": source, "target": _tors_label(*cls),
+                "coefficient": coeff,
             })
 
     new_entries = {}
@@ -405,13 +387,13 @@ def _entries_equal(a, b):
 class DescentChart:
     """Pages and E-infinity of the descent spectral sequence on a window."""
 
-    __slots__ = ("window", "pages", "infinity", "s_max")
+    __slots__ = ("window", "pages", "infinity")
+    s_max = DEFAULT_S_MAX
 
-    def __init__(self, window, pages, infinity, s_max):
+    def __init__(self, window, pages, infinity):
         self.window = window
         self.pages = pages
         self.infinity = infinity
-        self.s_max = s_max
 
     def to_json(self):
         return {
@@ -421,20 +403,19 @@ class DescentChart:
         }
 
 
-def descent_ss(n_min=DEFAULT_WINDOW[0], n_max=DEFAULT_WINDOW[1],
-               s_max=DEFAULT_S_MAX):
+def descent_ss(n_min=DEFAULT_WINDOW[0], n_max=DEFAULT_WINDOW[1]):
     """Run the spectral sequence over topological degrees [n_min, n_max].
 
     Returns a DescentChart whose pages are r = 5 (E2 groups with the d5
     arrows), r = 9 (E6 groups with the d9 arrows) and r = 10 (E-infinity;
     all later differentials vanish).  Entries outside the degree window or
-    above s_max are computed internally but not reported.
+    above DEFAULT_S_MAX are computed internally but not reported.
     """
     if n_min > n_max:
         raise AlgebraError("empty degree window")
     if max(abs(n_min), abs(n_max)) > 2 * _HARD_T_BOUND - _HARD_S_MAX:
         raise AlgebraError("window exceeded")
-    s_internal = min(s_max + 12, _HARD_S_MAX)
+    s_internal = min(DEFAULT_S_MAX + 12, _HARD_S_MAX)
     t_lo = (n_min - 2) // 2 - 1
     t_hi = (n_max + 2 + s_internal) // 2 + 1
     e2 = coh_mell(s_internal, t_lo, t_hi)
@@ -446,7 +427,7 @@ def descent_ss(n_min=DEFAULT_WINDOW[0], n_max=DEFAULT_WINDOW[1],
     einf, d9_arrows = _run_page(e6, 9, trusted)
 
     def in_window(s, t):
-        return n_min <= 2 * t - s <= n_max and s <= s_max
+        return n_min <= 2 * t - s <= n_max and s <= DEFAULT_S_MAX
 
     def restrict(groups):
         return BigradedGroup({st: ent for st, ent in groups.entries.items()
@@ -463,7 +444,7 @@ def descent_ss(n_min=DEFAULT_WINDOW[0], n_max=DEFAULT_WINDOW[1],
                 raise InternalCheckError(
                     "E-infinity disagrees with survivor rules at (%d, %d)"
                     % (s, t))
-    for s in range(0, s_max + 1):
+    for s in range(0, DEFAULT_S_MAX + 1):
         for t in range(t_lo, t_hi + 1):
             if in_window(s, t) and (s, t) not in einf.entries:
                 if not einf_entry_rule(s, t).is_zero():
@@ -475,7 +456,7 @@ def descent_ss(n_min=DEFAULT_WINDOW[0], n_max=DEFAULT_WINDOW[1],
         ChartPage(9, restrict(e6), restrict_arrows(d9_arrows)),
         ChartPage(10, restrict(einf), [], stable=True),
     ]
-    return DescentChart((n_min, n_max), pages, restrict(einf), s_max)
+    return DescentChart((n_min, n_max), pages, restrict(einf))
 
 
 _CHART_CACHE = {}
@@ -519,15 +500,6 @@ class HomotopyGroupReport:
 
     def labels(self):
         return [g["label"] for g in self.gens]
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "group": self.group_string(),
-            "free_rank": self.free_rank,
-            "torsion": list(self.torsion),
-            "gens": [dict(g) for g in self.gens],
-        }
 
 
 def _dm_free_gens(n):

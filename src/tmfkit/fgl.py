@@ -9,7 +9,7 @@ from fractions import Fraction
 from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
                       ZZ, QQ, PrimeField, IntegersMod, is_prime,
                       integer_kernel, integer_solve, abelian_group_structure)
-from .series import Series
+from .series import Series, _solve_by_degree
 
 
 class FGLInvalid(AlgebraError):
@@ -44,13 +44,11 @@ class FormalGroupLaw:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def validate(F, vars=None, check_associativity=True):
+    def validate(F, check_associativity=True):
         """Check unit, commutativity, and associativity axioms to the series
         precision; raises FGLInvalid naming the first offending monomial.
         check_associativity=False skips the cubic-cost axiom for internal
         callers whose construction guarantees it."""
-        if vars is not None and F.vars != tuple(vars):
-            raise AlgebraError("variable mismatch")
         if len(F.vars) != 2:
             raise AlgebraError("a formal group law needs exactly 2 variables")
         R = F.ring
@@ -107,17 +105,17 @@ class FormalGroupLaw:
         return self.F.subst([u, v])
 
     def formal_inverse(self):
-        """i(t) with F(t, i(t)) = 0, solved degree by degree."""
+        """i(t) with F(t, i(t)) = 0, solved degree by degree from i = -t by
+        _solve_by_degree: with i right below degree k, the t^k coefficient
+        of F(t, i) is the error, read from a substitution truncated to
+        precision k + 1, and i gains minus that times t^k (F(x, y) = x + y
+        + higher terms).  The closing check is F(t, i) = 0 at the full
+        precision."""
         if self._inverse is not None:
             return self._inverse
         R = self.ring
-        n = self.precision
-        t = Series.gen(R, ("t",), n, "t")
-        inv = -t
-        for k in range(2, n):
-            err = self.F.subst([t, inv]).coeff((k,))
-            if not R.is_zero(err):
-                inv = inv + Series(R, ("t",), n, {(k,): R.neg(err)})
+        t = Series.gen(R, ("t",), self.precision, "t")
+        inv = _solve_by_degree(-t, lambda i: self.F.subst([t, i]), R.one)
         if not self.F.subst([t, inv]).is_zero():
             raise InternalCheckError("formal inverse failed to close")
         self._inverse = inv
@@ -218,11 +216,6 @@ class HeightProfile:
 
     def v(self, i):
         return self.v_values[i - 1]
-
-    def to_json(self, ring):
-        return {"p": self.p,
-                "height": self.height,
-                "v": [ring.coeff_to_json(c) for c in self.v_values]}
 
     def __repr__(self):
         return "HeightProfile(p=%d, height=%r)" % (self.p, self.height)
@@ -391,10 +384,7 @@ def _scalar_mult_injective(pres, degree, scalar):
         x = vec[:nb]
         if all(v == 0 for v in x):
             continue
-        if rel:
-            sol = integer_solve(rel_cols, x)
-        else:
-            sol = None if any(v != 0 for v in x) else []
+        sol = integer_solve(rel_cols, x) if rel else None
         if sol is None:
             label = " + ".join("%d*%s" % (c, pres.mon_name(m)) if c != 1
                                else pres.mon_name(m)
@@ -416,12 +406,8 @@ def landweber_regularity(pres, fgl, p, n_max, degree_bound):
 
     base = fgl.ring
     if isinstance(base, IntegersMod):
-        def lift(c):
-            return c
         scalar_mod = base.m
     elif base == ZZ:
-        def lift(c):
-            return c
         scalar_mod = 0
     else:
         raise AlgebraError("law must have scalar coefficients (Z, Z/m, F_p)")
@@ -438,8 +424,7 @@ def landweber_regularity(pres, fgl, p, n_max, degree_bound):
         if k == 0:
             v = p
         else:
-            coeff = fgl.n_series(p).coeff((p ** k,))
-            v = lift(coeff)
+            v = fgl.n_series(p).coeff((p ** k,))
             if current_mod:
                 v %= current_mod
         ok = True

@@ -15,6 +15,10 @@ from .series import Series
 #: weight of each polynomial generator
 GENERATOR_WEIGHTS = {"c4": 4, "c6": 6, "Delta": 12}
 
+#: desk-scale caps on the weight of a basis and on a q-precision
+WEIGHT_CAP = 10000
+QEXP_PRECISION_CAP = 1000
+
 
 def monomial_weight(mon):
     """Weight of the monomial c4^a * c6^b * Delta^c given as (a, b, c)."""
@@ -231,6 +235,9 @@ def normal_form(raw, ring=ZZ):
 
 def basis_monomials(k):
     """Monomials (a, b, c) of weight k with b <= 1, in (c, b, a) lex order."""
+    if k > WEIGHT_CAP:
+        raise AlgebraError("weight %d exceeds the desk-scale cap %d"
+                           % (k, WEIGHT_CAP))
     if k < 0:
         return []
     out = []
@@ -319,6 +326,9 @@ def q_expansion(f, N):
     """
     if N < 1:
         raise AlgebraError("q-precision must be at least 1")
+    if N > QEXP_PRECISION_CAP:
+        raise AlgebraError("q-precision %d exceeds the desk-scale cap %d"
+                           % (N, QEXP_PRECISION_CAP))
     R = f.ring
     out = Series.zero(R, ("q",), N)
     for (a, b, c), coeff in f.sorted_terms():
@@ -335,6 +345,9 @@ def j_q_expansion(N):
     """
     if N < 1:
         raise AlgebraError("precision must be at least 1")
+    if N > QEXP_PRECISION_CAP:
+        raise AlgebraError("q-precision %d exceeds the desk-scale cap %d"
+                           % (N, QEXP_PRECISION_CAP))
     work = max(N, 2) + 1
     num = _mono_qexp(3, 0, 0, work).truncate(work)
     den = _delta_qexp(work).truncate(work)

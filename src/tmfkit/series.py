@@ -16,6 +16,16 @@ add with no carry.  Terms that meet no partner below n are dropped before
 packing: at base n, (0, n) and (1, 0) would share the key n.  Over Q and
 its localizations, products also clear denominators once per call and
 convolve plain ints; see _product.
+
+Substitution has one precision rule: compose and subst return precision
+n = min of the precisions of the outer series and of the values, and claim
+nothing above it.  The rule is sound: the unknown terms of the outer series
+start at its precision, and values of positive valuation keep them at that
+degree or above; an unknown term of a value, at its precision or above,
+stays there in every power of the value.  Both run the degree-truncated
+Horner loop _horner.  Reversion (Series.reverse and
+FormalGroupLaw.formal_inverse) is the one degree-by-degree solve
+_solve_by_degree.
 """
 
 from operator import add, itemgetter, mul
@@ -88,21 +98,42 @@ def _product(R, t1, t2, n):
     return {unpack(k): back(s, D) for k, s in out.items()}
 
 
-def _horner(R, part, g, v, n, top, k=0):
-    """Terms below degree n of the sum over d = k..top of g^(d - k) * part(d),
-    by Horner's rule acc -> acc * g + part(d) from d = top down to k.
+def _horner(R, part, g, v, n, top):
+    """Terms below degree n of the sum over d = 0..top of g^d * part(d), by
+    Horner's rule acc -> acc * g + part(d) from d = top down to 0.
 
     g is a term dict of valuation >= v >= 1.  The accumulator after step d
-    is multiplied by g d - k more times, which raises its degrees by at
-    least (d - k) * v, so only its terms below b = n - (d - k) * v are
-    formed; part(d, b) gives the terms of the d-th summand below b."""
+    is multiplied by g d more times, which raises its degrees by at least
+    d * v, so only its terms below b = n - d * v are formed (none when
+    d * v >= n, and those steps are skipped); part(d, b) gives the terms of
+    the d-th summand below b.  compose and subst pass n = min of their
+    precisions, the one rule of the module docstring."""
     acc = {}
-    for d in range(top, k - 1, -1):
-        b = n - (d - k) * v
+    for d in range(min(top, (n - 1) // v), -1, -1):
+        b = n - d * v
         acc = _product(R, acc, g, b)
         for e, c in part(d, b).items():
             acc[e] = R.add(acc[e], c) if e in acc else c
     return acc
+
+
+def _solve_by_degree(g, residual, unit):
+    """Complete g, a one-variable series holding only its degree-1 term, to
+    the series h with residual(h) = 0 below g's precision, one degree at a
+    time (the classical loop; Brent & Kung, J. ACM 1978).
+
+    With h right below degree k >= 2, the t^k coefficient e_k of
+    residual(h) depends only on h's terms below k + 1, and adding c t^k to
+    h moves it by c / unit.  So e_k is read from the residual of
+    h.truncate(k + 1), computed only below k + 1, and h gains
+    -e_k * unit t^k."""
+    R = g.ring
+    n = g.precision
+    for k in range(2, n):
+        err = residual(g.truncate(k + 1)).coeff((k,))
+        if not R.is_zero(err):
+            g = g + Series(R, g.vars, n, {(k,): R.neg(R.mul(err, unit))})
+    return g
 
 
 class Series:
@@ -329,21 +360,18 @@ class Series:
 
     def compose(self, g):
         """f(g) for single-variable f; g may be multivariate but needs
-        positive valuation.
+        positive valuation.  The result has precision
+        n = min(f.precision, g.precision), the rule of subst, and claims
+        nothing above it.  Every coefficient below n is known: the unknown
+        terms of f start at degree f.precision, so in f(g) they start at
+        degree f.precision * val(g) >= f.precision, and the unknown terms
+        of g enter every power g^d, d >= 1, at degree g.precision or above.
 
-        The result is what the Horner loop acc -> acc * g + a_d gives (d from
-        the top degree of f down to 0, acc starting as the zero series at
-        n = min(f.precision, g.precision)) under the precision rules of +
-        and *.  So it is known below a precision P: P = n when f(0) != 0;
-        otherwise the last val(f) steps are products by g, each moving the
-        window by the rule of __mul__, and P may exceed n.
-
-        Down to a_k, k = val(f), the loop is truncated by degree: the
-        accumulator after step d is multiplied by g d - k more times before
-        step k, where its window is n, so its terms of degree at or above
-        n - (d - k) * val(g) cannot reach the result and are never formed.
-        The last k products are ordinary series products, which keeps their
-        precision bookkeeping, zero divisors included."""
+        The terms come from _horner, acc -> acc * g + a_d from the top
+        degree of f down to 0, truncated by degree: the accumulator after
+        step d is multiplied by g d more times, so its terms of degree at or
+        above n - d * val(g) cannot reach the result and are never
+        formed."""
         if len(self.vars) != 1:
             raise AlgebraError("compose requires a single-variable outer series")
         if self.lowest < 0:
@@ -356,7 +384,6 @@ class Series:
         n = min(self.precision, g.precision)
         if self.is_zero() or g.is_zero():
             return Series.constant(R, g.vars, n, self.constant_term())
-        k = self.valuation()
         v = g.valuation()
         top = max(e[0] for e in self.terms)
         z = (0,) * len(g.vars)
@@ -365,11 +392,7 @@ class Series:
             c = self.terms.get((d,))
             return {} if c is None else {z: c}
 
-        acc = _horner(R, part, g.terms, v, n, min(top, k + (n - 1) // v), k)
-        out = Series(R, g.vars, n, acc)
-        for _ in range(k):
-            out = out * g
-        return out
+        return Series(R, g.vars, n, _horner(R, part, g.terms, v, n, top))
 
     def subst(self, values):
         """f(P0, P1, ...): substitute one series per variable.  Every value
@@ -427,8 +450,8 @@ class Series:
 
         # a zero P0 acts as one of valuation n: only f_0 survives
         v = tgt.valuation() or n
-        top = min(max(parts, default=0), (n - 1) // v)
-        return Series(R, tgt.vars, n, _horner(R, part, tgt.terms, v, n, top))
+        return Series(R, tgt.vars, n,
+                      _horner(R, part, tgt.terms, v, n, max(parts, default=0)))
 
     def rename(self, new_vars, mapping=None):
         """Move to a new variable tuple.  mapping[i] = index of old variable i
@@ -567,11 +590,10 @@ class Series:
     # -- reversion ----------------------------------------------------------
 
     def reverse(self):
-        """Compositional inverse of a single-variable series of valuation 1.
-
-        Built degree by degree: with g correct below degree k, the
-        coefficient of t^k in f(g) is the error e_k, read from a composition
-        truncated to precision k + 1, and g gains the term -e_k / a_1 t^k."""
+        """Compositional inverse of a single-variable series of valuation 1,
+        by _solve_by_degree on the residual f(g) - t: with g correct below
+        degree k, the coefficient of t^k in f(g) is the error, read from a
+        composition truncated to precision k + 1."""
         if len(self.vars) != 1:
             raise AlgebraError("reversion is single-variable only")
         R = self.ring
@@ -580,14 +602,9 @@ class Series:
             raise AlgebraError("reversion needs valuation exactly 1")
         if not R.is_unit(a1):
             raise AlgebraError("leading coefficient not invertible")
-        n = self.precision
         a1i = R.inv(a1)
-        g = Series(R, self.vars, n, {(1,): a1i})
-        for k in range(2, n):
-            err = self.compose(g.truncate(k + 1)).coeff((k,))
-            if not R.is_zero(err):
-                g = g + Series(R, self.vars, n, {(k,): R.neg(R.mul(err, a1i))})
-        return g
+        g = Series(R, self.vars, self.precision, {(1,): a1i})
+        return _solve_by_degree(g, self.compose, a1i)
 
     # -- serialization ------------------------------------------------------
 

@@ -12,6 +12,8 @@ from .series import Series
 from .fgl import FormalGroupLaw, height_profile
 
 SS_PRIME_CAP = 101
+# a dense curve over Q at N = 32 takes seconds; far above that it hangs
+CURVE_PRECISION_CAP = 32
 # primes up to this bound use the z-coordinate p-series for v1; beyond it the
 # Deuring coefficient (same vanishing locus, unit-scaled value) stands in
 HASSE_FGL_CAP = 13
@@ -167,6 +169,9 @@ def formal_group(curve, N, certify=True):
     {fgl, x_series, y_series, eta}."""
     if N < 3:
         raise AlgebraError("precision must be at least 3")
+    if N > CURVE_PRECISION_CAP:
+        raise AlgebraError("precision %d exceeds the desk-scale cap %d"
+                           % (N, CURVE_PRECISION_CAP))
     R = curve.ring
     a1, a2, a3, a4, a6 = curve.a_invariants()
     Nw = N + 8

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -233,6 +234,21 @@ class TestErrorHandling:
     def test_missing_file_exits_two(self):
         code, _ = run_cli(["landweber", "--config", "/nonexistent.json"])
         assert code == 2
+
+
+class TestDeskScaleCaps:
+    """Inputs far past a desk-scale cap are refused at once, not computed."""
+
+    @pytest.mark.parametrize("argv,stdin", [
+        (["modforms", "basis", "--weight", "100000000"], None),
+        (["modforms", "qexp", "--precision", "10000000"], '{"name": "Delta"}'),
+        (["curve", "fgl", "--precision", "100000"], CURVE_J0),
+    ], ids=["basis-weight", "qexp-precision", "curve-precision"])
+    def test_exits_two_quickly(self, argv, stdin, monkeypatch, capsys):
+        start = time.monotonic()
+        code, _ = run_cli(argv, stdin, monkeypatch if stdin else None)
+        assert code == 2 and time.monotonic() - start < 5
+        assert "exceeds the desk-scale cap" in capsys.readouterr().err
 
 
 class TestMalformedFields:

@@ -12,6 +12,8 @@ from tmfkit.algebra import (
     LocalizedIntegers, QuadExtField,
 )
 from tmfkit.series import Series, _product
+from tmfkit.fgl import FormalGroupLaw, honda_fgl
+from tmfkit.weierstrass import WeierstrassCurve, formal_group
 
 
 def zt(precision, terms):
@@ -117,6 +119,12 @@ class TestComposition:
         f = zt(5, {(1,): 1, (2,): 1})            # t + t^2
         g = zt(5, {(1,): 2})                     # 2t
         assert f.compose(g) == zt(5, {(1,): 2, (2,): 4})
+
+    def test_compose_claims_only_known_degrees(self):
+        # t^2 + O(t^3) at t: t^3 and t^4 depend on the unknown t^3, t^4 of f
+        f = zt(3, {(2,): 1})
+        t = Series.gen(ZZ, ("t",), 10, "t")
+        assert f.compose(t) == zt(3, {(2,): 1})
 
     def test_compose_needs_positive_valuation(self):
         f = zt(5, {(1,): 1})
@@ -274,7 +282,8 @@ def plain_product(a, b):
 
 
 def plain_compose(f, g):
-    """The untruncated Horner loop acc -> acc * g + a_d."""
+    """The untruncated Horner loop acc -> acc * g + a_d, cut to
+    n = min(precisions)."""
     R = f.ring
     n = min(f.precision, g.precision)
     top = max((e[0] for e in f.terms), default=0)
@@ -284,7 +293,7 @@ def plain_compose(f, g):
         c = f.coeff((d,))
         if not R.is_zero(c):
             acc = acc + Series.constant(R, g.vars, n, c)
-    return acc
+    return acc.truncate(n)
 
 
 def plain_reverse(f):
@@ -297,6 +306,20 @@ def plain_reverse(f):
         err = plain_compose(f, g).coeff((k,))
         g = g + Series(R, f.vars, n, {(k,): R.neg(R.mul(err, a1i))})
     return g
+
+
+def plain_formal_inverse(law):
+    """i with F(t, i) = 0 degree by degree, each error read from a
+    substitution at the law's full precision."""
+    R = law.ring
+    n = law.precision
+    t = Series.gen(R, ("t",), n, "t")
+    inv = -t
+    for k in range(2, n):
+        err = law.F.subst([t, inv]).coeff((k,))
+        if not R.is_zero(err):
+            inv = inv + Series(R, ("t",), n, {(k,): R.neg(err)})
+    return inv
 
 
 def monomials(nvars, d):
@@ -353,23 +376,31 @@ RINGS = [QQ, PrimeField(5), PrimeField(7), IntegersMod(4), IntegersMod(6),
          QuadExtField(3)]
 
 
+def extend(rng, s, extra):
+    """s with random terms added in the `extra` degrees from its precision
+    up, at precision s.precision + extra: the same series, known further."""
+    tail = random_series(rng, s.ring, s.vars, s.precision + extra,
+                         s.precision)
+    return s._like({**s.terms, **tail.terms}, s.precision + extra)
+
+
 @pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_compose_matches_plain_horner(R):
     rng = random.Random("compose %r" % (R,))
-    grown = 0
     for case in range(60):
         vars = ("t",) if case % 2 else ("x", "y")
         pf, pg = rng.randint(1, 8), rng.randint(1, 8)
         f = random_series(rng, R, ("t",), pf, rng.choice([0, 1, 2, 3]))
         g = random_series(rng, R, vars, pg, rng.choice([1, 1, 2]))
         got, want = f.compose(g), plain_compose(f, g)
-        assert (got.terms, got.precision) == (want.terms, want.precision), \
+        assert (got.terms, got.precision) == (want.terms, min(pf, pg)), \
             (f, g)
-        grown += want.precision > min(pf, pg)
+        # soundness: no claimed coefficient depends on the unknown terms
+        more = extend(rng, f, 3).compose(extend(rng, g, 3))
+        assert more.precision >= got.precision, (f, g)
+        assert more.truncate(got.precision).terms == got.terms, (f, g)
         assert plain_product(f, f) == f * f
         assert plain_product(g, g) == g * g
-    # the window grew past min(precisions) often enough to be exercised
-    assert grown >= 10
 
 
 @pytest.mark.parametrize("R", RINGS, ids=repr)
@@ -381,6 +412,26 @@ def test_reverse_matches_plain_loop(R):
         f = f + Series(R, ("t",), f.precision, {(1,): a1})
         got, want = f.reverse(), plain_reverse(f)
         assert (got.terms, got.precision) == (want.terms, want.precision), f
+
+
+HONDA = {2: [(1, 7), (2, 9)], 3: [(1, 8), (2, 11)], 5: [(1, 9)]}
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, PrimeField(2), PrimeField(3),
+                               PrimeField(5), IntegersMod(12)], ids=repr)
+def test_formal_inverse_matches_plain_loop(R):
+    laws = [make(R, N) for N in (4, 7, 10) for make in
+            (FormalGroupLaw.multiplicative, FormalGroupLaw.additive)]
+    laws += [honda_fgl(R.p, h, N) for h, N in HONDA.get(R.characteristic(), ())]
+    # a curve's formal group needs 2 to be a unit or zero, so not over Z/12
+    if R != IntegersMod(12):
+        laws += [formal_group(WeierstrassCurve.from_ints(R, *a), N,
+                              certify=False)["fgl"]
+                 for a in ((1, 0, 0, 2, 3), (0, 1, 1, -1, 0), (1, -1, 1, 0, 2))
+                 for N in (5, 9)]
+    for law in laws:
+        got, want = law.formal_inverse(), plain_formal_inverse(law)
+        assert (got.terms, got.precision) == (want.terms, want.precision), law
 
 
 # -- Horner subst and recurrence inverse_unit against the plain loops ---------

@@ -150,6 +150,15 @@ class TestFormalGroup:
         node = formal_group(qcurve(1, 0, 0, 0, 0), 6)["fgl"]
         assert QQ.eq(node.F.coeff((1, 1)), QQ.from_int(-1))
 
+    def test_negative_n_series_claims_only_known_degrees(self):
+        # [-7] = [7] o i, where [7] starts at t^7 over F_7: the N = 17 law
+        # must agree with the N = 9 one wherever the latter claims a value
+        c = WeierstrassCurve.from_ints(PrimeField(7), 1, 0, 0, 2, 3)
+        low = formal_group(c, 9)["fgl"].n_series(-7)
+        high = formal_group(c, 17)["fgl"].n_series(-7)
+        assert low.precision == 9
+        assert high.truncate(9) == low
+
 
 class TestHasse:
     def test_supersingular_j_zero_at_five(self):
