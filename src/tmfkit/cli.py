@@ -219,7 +219,8 @@ def _cmd_landweber(args, out):
     p = _decode(where, int, _require(cfg, "p", where))
     n_max = _decode(where, int, cfg.get("n_max", 2))
     degree_bound = _decode(where, int, cfg.get("degree_bound", 4))
-    precision = _decode(where, int, cfg.get("precision", p ** n_max + 2))
+    need = fgl_mod.law_precision(p, n_max)
+    precision = _decode(where, int, cfg.get("precision", need + 2))
     law = _law_from_config(cfg, precision)
     if "presentation" in cfg:
         pres = _decode("presentation", _presentation_from_config,

@@ -15,7 +15,8 @@ from .series import Series
 #: weight of each polynomial generator
 GENERATOR_WEIGHTS = {"c4": 4, "c6": 6, "Delta": 12}
 
-#: desk-scale caps on the weight of a basis and on a q-precision
+#: desk-scale caps on a weight (of a basis, or of a monomial to expand) and
+#: on a q-precision
 WEIGHT_CAP = 10000
 QEXP_PRECISION_CAP = 1000
 
@@ -311,9 +312,8 @@ def _mono_qexp(a, b, c, N):
     """q-expansion of c4^a c6^b Delta^c over Z (precision at least N)."""
     s = Series.one(ZZ, ("q",), N)
     for name, e in (("c4", a), ("c6", b), ("Delta", c)):
-        base = _gen_qexp(name, N)
-        for _ in range(e):
-            s = s * base
+        if e:
+            s = s * _gen_qexp(name, N) ** e
     return s
 
 
@@ -329,6 +329,11 @@ def q_expansion(f, N):
     if N > QEXP_PRECISION_CAP:
         raise AlgebraError("q-precision %d exceeds the desk-scale cap %d"
                            % (N, QEXP_PRECISION_CAP))
+    for mon in f.terms:
+        if monomial_weight(mon) > WEIGHT_CAP:
+            raise AlgebraError("monomial %s of weight %d exceeds the desk-scale "
+                               "cap %d" % (monomial_label(mon),
+                                           monomial_weight(mon), WEIGHT_CAP))
     R = f.ring
     out = Series.zero(R, ("q",), N)
     for (a, b, c), coeff in f.sorted_terms():

@@ -70,6 +70,14 @@ class TestCurveCommands:
                   if sorted(t["exp"]) == [0, 1]]
         assert all(t["coeff"] == 1 for t in linear) and len(linear) == 2
 
+    def test_fgl_where_two_is_a_zero_divisor(self, monkeypatch):
+        payload = ('{"ring": {"kind": "IntegersMod", "m": 12}, '
+                   '"a": [1, 0, 3, 2, 5]}')
+        code, out = run_cli(["curve", "fgl", "--precision", "6"],
+                            payload, monkeypatch)
+        assert code == 0
+        assert json.loads(out)["eta"]["precision"] == 5
+
     def test_hasse(self, monkeypatch):
         payload = '{"ring": {"kind": "PrimeField", "p": 5}, "a": [0, 0, 0, 0, 1]}'
         code, out = run_cli(["curve", "hasse"], payload, monkeypatch)
@@ -243,12 +251,28 @@ class TestDeskScaleCaps:
         (["modforms", "basis", "--weight", "100000000"], None),
         (["modforms", "qexp", "--precision", "10000000"], '{"name": "Delta"}'),
         (["curve", "fgl", "--precision", "100000"], CURVE_J0),
-    ], ids=["basis-weight", "qexp-precision", "curve-precision"])
+        (["modforms", "qexp", "--precision", "100"],
+         '{"ring": {"kind": "Integers"}, '
+         '"terms": [{"a": 100000, "b": 0, "c": 0, "coeff": 1}]}'),
+    ], ids=["basis-weight", "qexp-precision", "curve-precision",
+            "qexp-monomial-weight"])
     def test_exits_two_quickly(self, argv, stdin, monkeypatch, capsys):
         start = time.monotonic()
         code, _ = run_cli(argv, stdin, monkeypatch if stdin else None)
         assert code == 2 and time.monotonic() - start < 5
         assert "exceeds the desk-scale cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p,n_max", [(999983, 1), (3, 10 ** 9)],
+                             ids=["large-prime", "large-height"])
+    def test_landweber_law_precision(self, p, n_max, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"law": "multiplicative",
+                                    "ring": {"kind": "Integers"},
+                                    "p": p, "n_max": n_max}))
+        start = time.monotonic()
+        code, _ = run_cli(["landweber", "--config", str(path)])
+        assert code == 2 and time.monotonic() - start < 5
+        assert "exceeds the desk-scale cap 128" in capsys.readouterr().err
 
 
 class TestMalformedFields:

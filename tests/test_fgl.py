@@ -2,6 +2,8 @@
 homomorphism checks, graded presentations, and the regular-sequence
 (exactness) criterion."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from tmfkit.series import Series
 from tmfkit.fgl import (
     FormalGroupLaw, FGLInvalid, honda_fgl, height_profile,
     check_homomorphism, GradedRingPresentation, landweber_regularity,
+    LAW_PRECISION_CAP,
 )
 
 
@@ -100,6 +103,14 @@ class TestStructure:
         lhs = F.add(F.n_series(2), F.n_series(3))
         assert lhs.agrees_with(F.n_series(5))
 
+    def test_deep_n_series_is_iterative(self):
+        # [m](t) = (1+t)^m - 1; a recursion m deep would pass Python's limit
+        F = FormalGroupLaw.multiplicative(ZZ, 4)
+        m = 1500
+        assert F.n_series(m).terms == {(1,): m, (2,): math.comb(m, 2),
+                                       (3,): math.comb(m, 3)}
+        assert F.n_series(m - 1).coeff((1,)) == m - 1
+
     def test_negative_n_series(self):
         F = FormalGroupLaw.multiplicative(ZZ, 7)
         assert F.add(F.n_series(-2), F.n_series(2)).is_zero()
@@ -149,6 +160,17 @@ class TestHeights:
         F = FormalGroupLaw.additive(ZZ, 10)
         with pytest.raises(AlgebraError):
             height_profile(F, 2)
+
+    def test_law_precision_cap(self):
+        law = FormalGroupLaw.multiplicative(PrimeField(3), 8)
+        cap = "exceeds the desk-scale cap %d" % LAW_PRECISION_CAP
+        with pytest.raises(AlgebraError, match=cap):
+            honda_fgl(3, 5, 250)
+        with pytest.raises(AlgebraError, match=cap):
+            height_profile(law, 10 ** 9)
+        with pytest.raises(AlgebraError, match=cap):
+            landweber_regularity(GradedRingPresentation(), law, 3,
+                                 10 ** 9, 1)
 
     def test_height_requires_precision(self):
         F = FormalGroupLaw.multiplicative(PrimeField(3), 5)

@@ -1,6 +1,7 @@
 """Source hygiene, checked with ast: no module in src/tmfkit keeps an unused
 import, or a private function, class or method that nothing refers to, and
-no coefficient ring keeps a method that nothing names."""
+no coefficient ring keeps a method that nothing names.  The README's table
+of input caps states every cap the library enforces."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,13 @@ from pathlib import Path
 import pytest
 
 from tmfkit import algebra
+from tmfkit.algebra import PRIMALITY_CAP
+from tmfkit.fgl import LAW_PRECISION_CAP
+from tmfkit.modforms import QEXP_PRECISION_CAP, WEIGHT_CAP
+from tmfkit.weierstrass import CURVE_PRECISION_CAP, SS_PRIME_CAP
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tmfkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tmfkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -84,3 +90,24 @@ def test_no_unreferenced_ring_methods():
         if callable(value) and not name.startswith("__")
         and name not in used]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("cap,entry_point", [
+    (PRIMALITY_CAP, "is_prime"),
+    (SS_PRIME_CAP, "supersingular_polynomial"),
+    (CURVE_PRECISION_CAP, "formal_group"),
+    (WEIGHT_CAP, "basis_monomials"),
+    (WEIGHT_CAP, "q_expansion"),
+    (QEXP_PRECISION_CAP, "j_q_expansion"),
+    (LAW_PRECISION_CAP, "honda_fgl"),
+    (LAW_PRECISION_CAP, "landweber_regularity"),
+], ids=str)
+def test_readme_lists_every_input_cap(cap, entry_point):
+    """A row of the caps table (input | cap | entry point) gives the cap's
+    value, digits grouped by spaces, beside the function that checks it."""
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("|")]
+    stated = "{:,}".format(cap).replace(",", " ")
+    assert any(len(row) == 3 and row[1] == stated
+               and "`%s`" % entry_point in row[2] for row in rows)

@@ -9,6 +9,7 @@ from tmfkit.series import Series
 from tmfkit.modforms import (
     ModularForm, normal_form, basis, basis_monomials, dimension,
     q_expansion, j_q_expansion, qexp_injectivity_check, monomial_label,
+    WEIGHT_CAP,
 )
 
 
@@ -126,6 +127,15 @@ class TestQExpansions:
         assert [d3.coeff((k,)) for k in range(6)] == [0, 1, 0, 0, 1, 0]
         e4 = q_expansion(ModularForm.generator("c4", F), 5)
         assert [e4.coeff((k,)) for k in range(5)] == [1, 0, 0, 0, 0]
+
+    def test_monomial_weight_cap(self):
+        # c4^(cap/4) is the heaviest monomial expanded; one c4 more is refused
+        top = WEIGHT_CAP // 4
+        q = q_expansion(ModularForm(ZZ, {(top, 0, 0): 1}), 3)
+        assert q.coeff((1,)) == 240 * top
+        with pytest.raises(AlgebraError, match="weight %d exceeds the "
+                           "desk-scale cap %d" % (4 * top + 4, WEIGHT_CAP)):
+            q_expansion(ModularForm(ZZ, {(top + 1, 0, 0): 1}), 3)
 
     def test_constant_weight_zero(self):
         f = ModularForm.constant(ZZ, 5)

@@ -1,13 +1,18 @@
 """Weierstrass curves: invariants, coordinate changes, curve formal groups,
 Hasse invariants and heights, and supersingular polynomials."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmfkit.algebra import (
-    AlgebraError, InternalCheckError, ZZ, QQ, PrimeField, QuadExtField,
+    AlgebraError, InternalCheckError, NotDivisible, ZZ, QQ, PrimeField,
+    QuadExtField, IntegersMod, LocalizedIntegers, PolynomialRing, Poly,
     poly_gcd,
 )
+from tmfkit.fgl import FormalGroupLaw
 from tmfkit.series import Series
 from tmfkit.weierstrass import (
     WeierstrassCurve, formal_group, hasse_invariant, exact_height,
@@ -158,6 +163,133 @@ class TestFormalGroup:
         high = formal_group(c, 17)["fgl"].n_series(-7)
         assert low.precision == 9
         assert high.truncate(9) == low
+
+
+def plain_formal_group(curve, N):
+    """The curve's formal group the long way, at the fixed slack N + 8:
+    x = z/w and y = -1/w by Laurent division, the chord slope by dividing
+    w(z2) - w(z1) by z2 - z1, and eta = dx/(2y + a1 x + a3) by Laurent
+    division (None where that division fails).  F, x and y are truncated
+    to N and eta to N - 1, with lowest 0."""
+    R = curve.ring
+    a1, a2, a3, a4, a6 = curve.a_invariants()
+    Nw = N + 8
+    one = Series.one(R, ("z",), Nw)
+    z = Series.gen(R, ("z",), Nw, "z")
+    u = one
+    for _ in range(Nw + 1):
+        nu = one + (z * u).scale(a1) + (z ** 2 * u).scale(a2) \
+            + (z ** 3 * u * u).scale(a3) + (z ** 4 * u * u).scale(a4) \
+            + (z ** 6 * u * u * u).scale(a6)
+        if nu == u:
+            break
+        u = nu
+    w = z ** 3 * u
+    x = z.divide_exact(w, allow_laurent=True)
+    y = (-one).divide_exact(w, allow_laurent=True)
+    pair = ("z1", "z2")
+    Z1 = Series.gen(R, pair, Nw, "z1")
+    Z2 = Series.gen(R, pair, Nw, "z2")
+    w1, w2 = w.rename(pair, [0]), w.rename(pair, [1])
+    lam = (w2 - w1).divide_exact(Z2 - Z1)
+    nu = w1 - lam * Z1
+    i = R.from_int
+    A = Series.one(R, pair, lam.precision) + lam.scale(a2) \
+        + (lam * lam).scale(a4) + (lam * lam * lam).scale(a6)
+    B = lam.scale(a1) + nu.scale(a2) + (lam * lam).scale(a3) \
+        + (lam * nu).scale(R.mul(i(2), a4)) \
+        + (lam * lam * nu).scale(R.mul(i(3), a6))
+    z3 = -B.divide_exact(A) - Z1 - Z2
+    iota = z.divide_exact(-one + z.scale(a1) + w.scale(a3))
+    F = iota.compose(z3).truncate(N)
+    den = y.scale(i(2)) + x.scale(a1) + \
+        Series.constant(R, ("z",), x.precision, a3)
+    try:
+        eta = x.derivative().divide_exact(den, allow_laurent=True)
+        eta = Series(R, ("z",), N - 1, eta.terms)
+    except NotDivisible:
+        eta = None
+    return {"F": F, "x": x.truncate(N), "y": y.truncate(N), "eta": eta}
+
+
+F3 = PrimeField(3)
+# a ring and a random coefficient of it
+CURVE_RINGS = {
+    "Q": (QQ, lambda r: Fraction(r.randint(-3, 3), r.choice([1, 2, 3]))),
+    "Z": (ZZ, lambda r: r.randint(-3, 3)),
+    "F2": (PrimeField(2), lambda r: r.randint(0, 1)),
+    "F3": (F3, lambda r: r.randint(0, 2)),
+    "F5": (PrimeField(5), lambda r: r.randint(0, 4)),
+    "F13": (PrimeField(13), lambda r: r.randint(0, 12)),
+    "F9": (QuadExtField(3), lambda r: (r.randint(0, 2), r.randint(0, 2))),
+    "Z[1/2]": (LocalizedIntegers(inverted=(2,)),
+               lambda r: Fraction(r.randint(-3, 3), r.choice([1, 2, 4]))),
+    "Z_(3)": (LocalizedIntegers(at=3),
+              lambda r: Fraction(r.randint(-3, 3), r.choice([1, 2, 5]))),
+    "F3[T]": (PolynomialRing(F3),
+              lambda r: Poly(F3, [r.randint(0, 2), r.randint(0, 2)])),
+    "Z/4": (IntegersMod(4), lambda r: r.randint(0, 3)),
+    "Z/12": (IntegersMod(12), lambda r: r.randint(0, 11)),
+}
+
+
+def differential_holds(data, curve):
+    """eta * (2y + a1 x + a3) = dx/dz, both sides times z^3."""
+    x, y, eta = data["x_series"], data["y_series"], data["eta"]
+    R = curve.ring
+    den = y.scale(R.from_int(2)) + x.scale(curve.a1) + \
+        Series.constant(R, ("z",), x.precision, curve.a3)
+    lhs, rhs = eta * den.shift(3), x.derivative().shift(3)
+    return lhs.agrees_with(rhs) and min(lhs.precision, rhs.precision) >= \
+        eta.precision
+
+
+class TestFormalGroupAgainstPlainConstruction:
+    @pytest.mark.parametrize("name", sorted(CURVE_RINGS))
+    def test_same_series_as_the_plain_construction(self, name):
+        R, coeff = CURVE_RINGS[name]
+        rng = random.Random(name)
+        # polynomial coefficients grow with N: F_3[T] stops at N = 8
+        for N in range(3, 9 if name == "F3[T]" else 13):
+            a = [coeff(rng) for _ in range(5)]
+            curve = WeierstrassCurve(R, *a)
+            got = formal_group(curve, N, certify=N % 3 == 0)
+            want = plain_formal_group(curve, N)
+            F = got["fgl"].F
+            assert (F.terms, F.precision) == (want["F"].terms,
+                                              want["F"].precision), a
+            assert got["x_series"] == want["x"], a
+            assert got["y_series"] == want["y"], a
+            assert differential_holds(got, curve), a
+            if name in ("Z/4", "Z/12"):
+                # 2y + a1 x + a3 starts with -2 z^-3: no Laurent quotient
+                assert want["eta"] is None
+            else:
+                assert got["eta"] == want["eta"], a
+
+    def test_singular_cubic_in_characteristic_two(self):
+        # a1 = a3 = 0 makes 2y + a1 x + a3 vanish mod 2: the cusp still has
+        # its law, the additive one, and eta = 1
+        F2 = PrimeField(2)
+        data = formal_group(WeierstrassCurve.from_ints(F2, 0, 0, 0, 0, 0), 7)
+        F = data["fgl"].F
+        assert F == Series(F2, F.vars, 7, {(1, 0): 1, (0, 1): 1})
+        assert data["eta"] == Series.one(F2, ("z",), 6)
+
+    def test_differential_cross_check_fires(self, monkeypatch):
+        law_eta = FormalGroupLaw.invariant_differential
+
+        def off_by_one_term(law):
+            eta = law_eta(law)
+            top = (eta.precision - 1,)
+            return eta + Series(eta.ring, eta.vars, eta.precision,
+                                {top: eta.ring.one})
+
+        monkeypatch.setattr(FormalGroupLaw, "invariant_differential",
+                            off_by_one_term)
+        with pytest.raises(InternalCheckError,
+                           match=r"dx/\(2y \+ a1 x \+ a3\)"):
+            formal_group(qcurve(1, -2, 3, 4, -5), 6)
 
 
 class TestHasse:
