@@ -221,6 +221,10 @@ def _cmd_landweber(args, out):
     degree_bound = _decode(where, int, cfg.get("degree_bound", 4))
     need = fgl_mod.law_precision(p, n_max)
     precision = _decode(where, int, cfg.get("precision", need + 2))
+    cap = fgl_mod.LAW_PRECISION_CAP + 2   # the largest default precision
+    if precision > cap:
+        raise CLIInputError("precision %d exceeds the desk-scale cap %d"
+                            % (precision, cap))
     law = _law_from_config(cfg, precision)
     if "presentation" in cfg:
         pres = _decode("presentation", _presentation_from_config,

@@ -7,6 +7,7 @@ Eisenstein substitution c4 -> E4(q), c6 -> -E6(q).
 """
 
 from functools import lru_cache
+from math import comb
 
 from .algebra import (ZZ, AlgebraError, InternalCheckError,
                       abelian_group_structure, power)
@@ -208,25 +209,22 @@ def normal_form(raw, ring=ZZ):
     """Rewrite a raw polynomial in c4, c6, Delta into normal form.
 
     ``raw`` maps monomials (a, b, c) with arbitrary b >= 0 to coefficients;
-    every c6^(2k+e) is rewritten as (c4^3 - 1728*Delta)^k * c6^e and like
-    terms are collected.  Zero coefficients are dropped.
+    every c6^(2k+e) is rewritten as (c4^3 - 1728*Delta)^k * c6^e, that is
+    sum_j C(k, j) c4^(3(k-j)) (-1728*Delta)^j c6^e, and like terms are
+    collected.  Zero coefficients are dropped.
     """
     if isinstance(raw, ModularForm):
         return raw
     R = ring
-    pending = [(tuple(mon), coeff) for mon, coeff in raw.items()]
     out = {}
-    while pending:
-        (a, b, c), coeff = pending.pop()
+    for (a, b, c), coeff in raw.items():
         if R.is_zero(coeff):
             continue
-        if b >= 2:
-            # c6^2 = c4^3 - 1728*Delta
-            pending.append(((a + 3, b - 2, c), coeff))
-            pending.append(((a, b - 2, c + 1), R.mul(R.from_int(-1728), coeff)))
-        else:
-            mon = (a, b, c)
-            out[mon] = R.add(out.get(mon, R.zero), coeff)
+        k = max(b, 0) // 2
+        for j in range(k + 1):
+            mon = (a + 3 * (k - j), b - 2 * k, c + j)
+            t = R.mul(R.from_int(comb(k, j) * (-1728) ** j), coeff) if k else coeff
+            out[mon] = R.add(out[mon], t) if mon in out else t
     return ModularForm(R, out)
 
 

@@ -6,16 +6,27 @@ A single-variable Laurent mode (negative exponents down to a stated bound)
 exists for the handful of places that need a simple pole; multivariate
 Laurent content is rejected.
 
-The product kernels (_product and inverse_unit) key a monomial by one int,
-the packed exponent vectors of Monagan & Pearce (CASC 2007): the exponent
-itself with one variable, and the exponents as digits in base n, the degree
-bound, with two or three (e0*n + e1, or (e0*n + e1)*n + e2).  Only Laurent
-series have negative exponents, and they have one variable; so a pair of
-total degree below n has every component of its sum below n, and the keys
-add with no carry.  Terms that meet no partner below n are dropped before
-packing: at base n, (0, n) and (1, 0) would share the key n.  Over Q and
-its localizations, products also clear denominators once per call and
-convolve plain ints; see _product.
+The kernels (_product, _horner, subst's monomials and inverse_unit) key a
+monomial by one int, the packed exponent vectors of Monagan & Pearce (CASC
+2007) in graded form: the total degree, then all exponents but the last as
+digits in base n, the degree bound (the exponent itself with one variable;
+d*n + e0 or (d*n + e0)*n + e1 with two or three).  Only Laurent series have
+negative exponents, and they have one variable; so a pair of total degree
+below n has every digit of its sum below n, and the keys add with no carry.
+A key's degree is key // n^(k-1), and keys sort by degree.  Multivariate
+terms of degree n or more are dropped before packing: at base n, (n, 0) and
+(0, n + 1) would share a key.  _product, _horner and subst's monomials share
+one pair loop, _pairs; inverse_unit runs its own degree recurrence.
+
+Over Q and its localizations (the rings with the to_cleared hook) the
+kernels carry int numerators over one common denominator and build one
+Fraction per output term (the layout of FLINT's fmpq_poly).  A product
+clears each factor once; compose and subst clear their operands once and
+keep the Horner accumulator cleared for the whole call, its denominator the
+product of the factors' and the lcm with each added part's (see _horner).
+Every step is exact integer arithmetic on the numerators of one rational
+series, and a Fraction is canonical, so each result is the one ring
+arithmetic gives step by step.
 
 Substitution has one precision rule: compose and subst return precision
 n = min of the precisions of the outer series and of the values, and claim
@@ -28,93 +39,151 @@ FormalGroupLaw.formal_inverse) is the one degree-by-degree solve
 _solve_by_degree.
 """
 
-from operator import add, itemgetter, mul
+from math import inf, lcm
+from operator import add, itemgetter, mul, not_
 
 from .algebra import AlgebraError, NotDivisible, InternalCheckError, power
 
 
 def _packing(k, n):
-    """(pack, unpack) between exponent tuples of k variables and int keys:
-    the exponent itself for k = 1, base-n digits for k = 2 or 3.  Exact for
-    tuples whose components lie in [0, n) (any exponent when k = 1)."""
+    """(pack, unpack, s) for graded int keys of exponent tuples of k
+    variables: the key of e is deg(e) * s + the digits e[0], ..., e[k-2] in
+    base n, with s = n^(k-1) (the exponent itself for k = 1).  So a key's
+    degree is key // s, and keys sort by degree.  Exact for tuples of total
+    degree below n with no negative component (any exponent when k = 1):
+    then every digit is below n."""
     if k == 1:
-        return itemgetter(0), lambda key: (key,)
+        return itemgetter(0), lambda key: (key,), 1
     if k == 2:
-        return (lambda e: e[0] * n + e[1]), (lambda key: divmod(key, n))
-    return ((lambda e: (e[0] * n + e[1]) * n + e[2]),
-            (lambda key: divmod(key // n, n) + (key % n,)))
+        def unpack(key):
+            d, a = divmod(key, n)
+            return a, d - a
+        return (lambda e: (e[0] + e[1]) * n + e[0]), unpack, n
+
+    def pack(e):
+        return ((e[0] + e[1] + e[2]) * n + e[0]) * n + e[1]
+
+    def unpack(key):
+        d, r = divmod(key, n * n)
+        a, b = divmod(r, n)
+        return a, b, d - a - b
+    return pack, unpack, n * n
+
+
+def _arith(R):
+    """(plus, times, is_zero) on the coefficients the kernels carry: plain
+    ints on rings with the to_cleared hook, R's payloads on the others."""
+    if R.to_cleared is None:
+        return R.add, R.mul, R.is_zero
+    return add, mul, not_
+
+
+def _lift(R, terms, pack, cut):
+    """The terms of total degree below cut, packed and cleared: ({key: c},
+    D) with each payload equal to c over D on rings with the to_cleared
+    hook, and ({key: payload}, 1) on the others."""
+    kept = {pack(e): c for e, c in terms.items() if sum(e) < cut}
+    if R.to_cleared is None:
+        return kept, 1
+    cs, D = R.to_cleared(list(kept.values()))
+    return dict(zip(kept, cs)), D
+
+
+def _lower(R, acc, D, unpack):
+    """The term dict of a packed accumulator over D: one from_cleared per
+    nonzero term on rings with the to_cleared hook."""
+    if R.to_cleared is None:
+        return {unpack(k): c for k, c in acc.items()}
+    back = R.from_cleared
+    return {unpack(k): back(c, D) for k, c in acc.items() if c}
+
+
+def _pairs(R, t1, f2, n, s):
+    """The packed pair loop: the terms below degree n of the product of t1,
+    a dict {key: c}, and f2, a list of (key, c) sorted by key, with the keys
+    of _packing (degree key // s) at a base of n or more.  A pair has
+    degree below n exactly when its f2 key is below (n - deg) * s, deg the
+    degree of its t1 key; f2 is sorted, so the loop breaks at the first
+    partner past that bound.  Every kept pair has degree below n, so every
+    digit of its key sum is below n and the sum, with no carry, is the key
+    of the product monomial.  Zero coefficients may be left in."""
+    plus, times, _ = _arith(R)
+    out = {}
+    for k1, c1 in t1.items():
+        lim = (n - k1 // s) * s
+        for k2, c2 in f2:
+            if k2 >= lim:
+                break
+            k = k1 + k2
+            p = times(c1, c2)
+            out[k] = plus(out[k], p) if k in out else p
+    return out
 
 
 def _product(R, t1, t2, n):
     """Terms of the product of two term dicts below total degree n.  Zero
     coefficients may be left in; the Series constructor drops them.
 
-    Monomials are keyed by _packing at base n.  A term of degree d meets
-    the other factor below n only if d plus that factor's least degree is
-    below n; the other terms are dropped before packing, so every packed
-    multivariate term has its components below n and a key of its own.  The
-    second factor is sorted by degree and the pair loop breaks at the first
-    partner that reaches n.  So a kept pair has degree below n, and with two
-    or three variables no negative component: every component of its
-    exponent sum is below n, and the sum of the two keys is the key of that
-    sum, with no carry.  The int-keyed accumulator is decoded back to
-    tuples once per output term.
+    Multivariate terms of degree n or more meet no partner below n and are
+    dropped, so every term kept has a packed key of its own (_packing at
+    base n); one-variable keys are the exponents, Laurent tails included.
+    The pairs run through _pairs, and the int-keyed result is decoded back
+    to tuples once per output term.
 
     When R has the to_cleared hook (Q and the localized integers), each
     factor is cleared once, c = a / D with D the lcm of its denominators,
     and the pairs are convolved in plain ints: the coefficient of e is
     (sum a1 * a2) / (D1 * D2), mapped back by one from_cleared per output
-    term.  This is exact, and a Fraction is canonical, so the payloads are
-    those of ring arithmetic pair by pair (the layout of FLINT's fmpq_poly,
-    integer numerators over a common denominator).  Other rings use R.add
-    and R.mul."""
+    term.  Other rings use R.add and R.mul."""
     if not t1 or not t2:
         return {}
-    f1 = [(sum(e), e, c) for e, c in t1.items()]
-    f2 = sorted(((sum(e), e, c) for e, c in t2.items()), key=itemgetter(0))
-    cut1, cut2 = n - f2[0][0], n - min(d for d, _, _ in f1)
-    pack, unpack = _packing(len(f2[0][1]), n)
-    f1 = [(n - d, pack(e), c) for d, e, c in f1 if d < cut1]
-    f2 = [(d, pack(e), c) for d, e, c in f2 if d < cut2]
-    plus, times = R.add, R.mul
-    cleared = R.to_cleared is not None
-    if cleared:
-        c1s, D1 = R.to_cleared([c for _, _, c in f1])
-        c2s, D2 = R.to_cleared([c for _, _, c in f2])
-        f1 = [(r, k, c) for (r, k, _), c in zip(f1, c1s)]
-        f2 = [(d, k, c) for (d, k, _), c in zip(f2, c2s)]
-        plus, times = add, mul
-    out = {}
-    for room, k1, c1 in f1:
-        for d2, k2, c2 in f2:
-            if d2 >= room:
-                break
-            k = k1 + k2
-            p = times(c1, c2)
-            out[k] = plus(out[k], p) if k in out else p
-    if not cleared:
-        return {unpack(k): c for k, c in out.items()}
-    D, back = D1 * D2, R.from_cleared
-    return {unpack(k): back(s, D) for k, s in out.items()}
+    k = len(next(iter(t1)))
+    pack, unpack, s = _packing(k, n)
+    cut = n if k > 1 else inf
+    a, D1 = _lift(R, t1, pack, cut)
+    b, D2 = _lift(R, t2, pack, cut)
+    b = sorted(b.items(), key=itemgetter(0))
+    return _lower(R, _pairs(R, a, b, n, s), D1 * D2, unpack)
 
 
-def _horner(R, part, g, v, n, top):
+def _horner(R, part, g, v, n, top, packing):
     """Terms below degree n of the sum over d = 0..top of g^d * part(d), by
     Horner's rule acc -> acc * g + part(d) from d = top down to 0.
 
     g is a term dict of valuation >= v >= 1.  The accumulator after step d
     is multiplied by g d more times, which raises its degrees by at least
     d * v, so only its terms below b = n - d * v are formed (none when
-    d * v >= n, and those steps are skipped); part(d, b) gives the terms of
-    the d-th summand below b.  compose and subst pass n = min of their
-    precisions, the one rule of the module docstring."""
-    acc = {}
+    d * v >= n, and those steps are skipped).  part(d, b) gives the terms
+    of the d-th summand below b as ({key: c}, D), packed by packing
+    (_packing at base n) and cleared as _lift does.  compose and subst pass
+    n = min of their precisions, the one rule of the module docstring.
+
+    The accumulator stays packed and cleared for the whole call: int
+    numerators over one denominator D.  g is lifted once, over Dg; each
+    product multiplies D by Dg, and each part over Dp is added after both
+    sides are brought to lcm(D, Dp).  Every step is exact rational
+    arithmetic on numerators over a common denominator, so the one
+    from_cleared per output term at the end gives the payloads of ring
+    arithmetic step by step (a Fraction is canonical).  Rings without the
+    to_cleared hook keep ring arithmetic with D fixed at 1."""
+    pack, unpack, s = packing
+    plus = _arith(R)[0]
+    G, Dg = _lift(R, g, pack, n)
+    G = sorted(G.items(), key=itemgetter(0))
+    acc, D = {}, 1
     for d in range(min(top, (n - 1) // v), -1, -1):
         b = n - d * v
-        acc = _product(R, acc, g, b)
-        for e, c in part(d, b).items():
-            acc[e] = R.add(acc[e], c) if e in acc else c
-    return acc
+        acc, D = (_pairs(R, acc, G, b, s), D * Dg) if acc else ({}, 1)
+        p, Dp = part(d, b)
+        L = lcm(D, Dp)
+        if L != D:
+            acc = {k: c * (L // D) for k, c in acc.items()}
+        if L != Dp:
+            p = {k: c * (L // Dp) for k, c in p.items()}
+        for k, c in p.items():
+            acc[k] = plus(acc[k], c) if k in acc else c
+        D = L
+    return _lower(R, acc, D, unpack)
 
 
 def _solve_by_degree(g, residual, unit):
@@ -385,14 +454,14 @@ class Series:
         if self.is_zero() or g.is_zero():
             return Series.constant(R, g.vars, n, self.constant_term())
         v = g.valuation()
-        top = max(e[0] for e in self.terms)
-        z = (0,) * len(g.vars)
+        a, Df = _lift(R, self.terms, itemgetter(0), n)
 
         def part(d, b):
-            c = self.terms.get((d,))
-            return {} if c is None else {z: c}
+            return ({0: a[d]}, Df) if d in a else ({}, 1)
 
-        return Series(R, g.vars, n, _horner(R, part, g.terms, v, n, top))
+        return Series(R, g.vars, n,
+                      _horner(R, part, g.terms, v, n, max(a, default=0),
+                              _packing(len(g.vars), n)))
 
     def subst(self, values):
         """f(P0, P1, ...): substitute one series per variable.  Every value
@@ -418,8 +487,15 @@ class Series:
         if any(min(e) < 0 for e in self.terms):
             raise AlgebraError("cannot substitute into a Laurent series")
         n = min([self.precision] + [P.precision for P in values])
-        rest = [P.terms for P in values[1:]]
-        mono = {(0,) * len(rest): {(0,) * len(tgt.vars): R.one}}
+        packing = _packing(len(tgt.vars), n)
+        pack, _, s = packing
+        plus, times, is_zero = _arith(R)
+        rest = []
+        for P in values[1:]:
+            t, D = _lift(R, P.terms, pack, n)
+            rest.append((sorted(t.items(), key=itemgetter(0)), D))
+        mono = {(0,) * len(rest): _lift(R, {(0,) * len(tgt.vars): R.one},
+                                        pack, n)}
 
         def monomial(e):
             chain = []
@@ -427,31 +503,40 @@ class Series:
                 j = next(i for i, x in enumerate(e) if x)
                 chain.append((e, j))
                 e = e[:j] + (e[j] - 1,) + e[j + 1:]
-            m = mono[e]
+            m, D = mono[e]
             for e, j in reversed(chain):
-                m = mono[e] = {x: c for x, c in
-                               _product(R, m, rest[j], n).items()
-                               if not R.is_zero(c)}
-            return m
+                t, Dj = rest[j]
+                m = {x: c for x, c in _pairs(R, m, t, n, s).items()
+                     if not is_zero(c)}
+                D *= Dj
+                mono[e] = m, D
+            return m, D
 
+        f, Df = _lift(R, self.terms, tuple, n)
         parts = {}
-        for e, c in self.terms.items():
-            if sum(e) < n:
-                parts.setdefault(e[0], []).append((e[1:], c))
+        for e, c in f.items():
+            parts.setdefault(e[0], []).append((e[1:], c))
 
         def part(a, b):
+            terms = parts.get(a, ())
+            ms = [monomial(e) for e, _ in terms]
+            L = lcm(*[D for _, D in ms])
+            lim = b * s
             out = {}
-            for e, c in parts.get(a, ()):
-                for x, t in monomial(e).items():
-                    if sum(x) < b:
-                        p = R.mul(c, t)
-                        out[x] = R.add(out[x], p) if x in out else p
-            return out
+            for (_, c), (m, D) in zip(terms, ms):
+                if D != L:
+                    c = c * (L // D)
+                for x, t in m.items():
+                    if x < lim:
+                        p = times(c, t)
+                        out[x] = plus(out[x], p) if x in out else p
+            return (out, Df * L) if out else ({}, 1)
 
         # a zero P0 acts as one of valuation n: only f_0 survives
         v = tgt.valuation() or n
         return Series(R, tgt.vars, n,
-                      _horner(R, part, tgt.terms, v, n, max(parts, default=0)))
+                      _horner(R, part, tgt.terms, v, n, max(parts, default=0),
+                              packing))
 
     def rename(self, new_vars, mapping=None):
         """Move to a new variable tuple.  mapping[i] = index of old variable i
@@ -476,37 +561,50 @@ class Series:
         f_j the homogeneous part of degree j, q_0 = 1/c0 and
         q_d = -(1/c0) * sum_{j=1..d} f_j q_{d-j}, which holds in any
         commutative ring.  The result has the precision of f.  Laurent input
-        is rejected; divide_exact handles that case by shifting."""
+        is rejected; divide_exact handles that case by shifting.  On rings
+        with the to_cleared hook the recurrence runs on cleared ints, with
+        one from_cleared per output term."""
         R = self.ring
         if any(sum(e) < 0 for e in self.terms):
             raise AlgebraError("inverse_unit needs a power series")
         c0 = self.constant_term()
         if not R.is_unit(c0):
             raise NotDivisible("constant term is not a unit")
-        c0i = R.inv(c0)
-        m = R.neg(c0i)
         n = self.precision
-        # every degree is below n and no exponent is negative: the keys of
-        # _product add without carry
-        pack, unpack = _packing(len(self.vars), n)
+        # every degree is below n and no exponent is negative: the keys
+        # add without carry
+        pack, unpack, s = _packing(len(self.vars), n)
+        plus, times, is_zero = _arith(R)
+        t, D = _lift(R, self.terms, pack, n)
+        if R.to_cleared is None:
+            q0 = R.inv(c0)
+            m = R.neg(q0)
+        else:
+            # f = F / D with F_0 = u: q_d = Q_d / u^(d+1), where Q_0 = D and
+            # Q_d = -sum_j (F_j * u^(j-1)) Q_{d-j}, all plain ints
+            u, q0, m = t[0], D, -1
+            t = {k: c * u ** (k // s - 1) if k else c for k, c in t.items()}
         f = [[] for _ in range(n)]
-        for e, c in self.terms.items():
-            f[sum(e)].append((pack(e), c))
-        q = [{0: c0i}]
-        out = dict(q[0])
+        for k, c in t.items():
+            f[k // s].append((k, c))
+        q = [{0: q0}]
         for d in range(1, n):
-            s = {}
+            acc = {}
             for j in range(1, d + 1):
                 for k1, c1 in f[j]:
                     for k2, c2 in q[d - j].items():
                         k = k1 + k2
-                        p = R.mul(c1, c2)
-                        s[k] = R.add(s[k], p) if k in s else p
-            q.append({k: R.mul(m, c) for k, c in s.items()
-                      if not R.is_zero(c)})
-            out.update(q[d])
-        return Series(R, self.vars, n,
-                      {unpack(k): c for k, c in out.items()})
+                        p = times(c1, c2)
+                        acc[k] = plus(acc[k], p) if k in acc else p
+            q.append({k: times(m, c) for k, c in acc.items()
+                      if not is_zero(c)})
+        if R.to_cleared is None:
+            out = {unpack(k): c for qd in q for k, c in qd.items()}
+        else:
+            out = {}
+            for d, qd in enumerate(q):
+                out.update(_lower(R, qd, u ** (d + 1), unpack))
+        return Series(R, self.vars, n, out)
 
     def divide_exact(self, g, allow_laurent=False):
         """f/g by the first of three routes that applies:

@@ -274,6 +274,22 @@ class TestDeskScaleCaps:
         assert code == 2 and time.monotonic() - start < 5
         assert "exceeds the desk-scale cap 128" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law", ["multiplicative",
+                                     {"honda": {"p": 3, "n": 1}}],
+                             ids=["multiplicative", "honda"])
+    def test_landweber_explicit_precision(self, law, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"law": law, "p": 3, "n_max": 1,
+                                    "precision": 400}))
+        start = time.monotonic()
+        code, _ = run_cli(["landweber", "--config", str(path)])
+        assert code == 2 and time.monotonic() - start < 5
+        assert "precision 400 exceeds the desk-scale cap 130" in \
+            capsys.readouterr().err
+        path.write_text(json.dumps({"law": law, "p": 3, "n_max": 1,
+                                    "precision": 12}))
+        assert run_cli(["landweber", "--config", str(path)])[0] == 0
+
 
 class TestMalformedFields:
     """A field of the wrong shape is an input error: exit 2 with a message,

@@ -101,6 +101,7 @@ def test_no_unreferenced_ring_methods():
     (QEXP_PRECISION_CAP, "j_q_expansion"),
     (LAW_PRECISION_CAP, "honda_fgl"),
     (LAW_PRECISION_CAP, "landweber_regularity"),
+    (LAW_PRECISION_CAP + 2, "_cmd_landweber"),
 ], ids=str)
 def test_readme_lists_every_input_cap(cap, entry_point):
     """A row of the caps table (input | cap | entry point) gives the cap's

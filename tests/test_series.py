@@ -518,6 +518,98 @@ def test_inverse_unit_with_unit_constant_other_than_one(R, c0):
     assert (f * g).agrees_with(Series.one(R, ("x", "y"), 6))
 
 
+# -- the cleared kernels with large denominators -----------------------------
+
+CLEARED = [QQ, LocalizedIntegers(at=3), LocalizedIntegers(inverted=(2,))]
+
+
+def big_denominators(R):
+    """A denominator for the inner series and one for the outer series,
+    large and coprime where the ring allows it (Z[1/2] has only powers of
+    2, so its outer series gets integers)."""
+    if R == QQ or R.at is not None:
+        return 7 ** 20, 11 ** 20
+    return 2 ** 20, 1
+
+
+def big_series(rng, R, vars, precision, low, den):
+    """Each monomial of degree in [low, precision) with chance 0.7; the
+    numerators lie in [-9, 9] and are negative as often as not, over den
+    or 1."""
+    terms = {}
+    for d in range(low, precision):
+        for e in monomials(len(vars), d):
+            if rng.random() < 0.7:
+                terms[e] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                    rng.choice([den, den, 1]))
+    return Series(R, vars, precision, terms)
+
+
+@pytest.mark.parametrize("R", CLEARED, ids=repr)
+def test_cleared_horner_with_large_coprime_denominators(R):
+    rng = random.Random("cleared %r" % (R,))
+    dg, df = big_denominators(R)
+    for case in range(8):
+        vars = VARS[1 + case % 2]
+        top = 7 - len(vars)
+        g = big_series(rng, R, vars, top, rng.choice([1, 1, 2]), dg)
+        f = big_series(rng, R, ("t",), rng.randint(top - 1, top + 1), 0, df)
+        got, want = f.compose(g), plain_compose(f, g)
+        assert (got.terms, got.precision) == (want.terms, want.precision)
+        outer = big_series(rng, R, vars, top, 0, df)
+        # P0 over dg, the later values over df and dg in turn: the parts
+        # mix denominators coprime to each other and to P0's
+        values = [big_series(rng, R, vars, rng.randint(top - 1, top), 1, den)
+                  for den in [dg, df, dg][:len(vars)]]
+        got, want = outer.subst(values), plain_subst(outer, values)
+        assert (got.terms, got.precision) == (want.terms, want.precision)
+    # F(F(x, y), z), the shape of the associativity check
+    xyz = VARS[2]
+    F = big_series(rng, R, ("x", "y"), 5, 2, dg) + \
+        Series(R, ("x", "y"), 5, {(1, 0): R.one, (0, 1): R.one})
+    x, y, z = (Series.gen(R, xyz, 5, v) for v in xyz)
+    got = F.subst([F.subst([x, y]), z])
+    want = plain_subst(F, [plain_subst(F, [x, y]), z])
+    assert (got.terms, got.precision) == (want.terms, want.precision)
+    assert len(got.terms) > 10
+
+
+@pytest.mark.parametrize("R", CLEARED, ids=repr)
+def test_cleared_inverse_unit_with_large_denominators(R):
+    rng = random.Random("cleared inverse %r" % (R,))
+    dg, df = big_denominators(R)
+    units = [c for c in (R.one, -R.one, Fraction(-5, 7), Fraction(-3, df),
+                         Fraction(2, df)) if R.is_unit(c)]
+    for case in range(6):
+        vars = VARS[case % 3]
+        h = big_series(rng, R, vars, 7 - len(vars), 1, dg)
+        c0 = units[case % len(units)]
+        f = h + Series.constant(R, vars, h.precision, c0)
+        got, want = f.inverse_unit(), plain_inverse_unit(f)
+        assert (got.terms, got.precision) == (want.terms, want.precision), f
+
+
+def test_cleared_kernels_map_back_once_per_output_term(monkeypatch):
+    """Over Q the kernels carry int numerators and build one Fraction per
+    output term, however many products and additions made it."""
+    calls = []
+    back = QQ.from_cleared
+    monkeypatch.setattr(QQ, "from_cleared",
+                        lambda s, d: calls.append(1) or back(s, d))
+    rng = random.Random("count")
+    for vars in VARS:
+        g = big_series(rng, QQ, vars, 7, 1, 7 ** 20)
+        f = big_series(rng, QQ, ("t",), 7, 0, 11 ** 20)
+        outer = big_series(rng, QQ, vars, 6, 0, 11 ** 20)
+        values = [big_series(rng, QQ, vars, 6, 1, 7 ** 20) for _ in vars]
+        unit = g + Series.one(QQ, vars, g.precision)
+        for run in (lambda: f.compose(g), lambda: outer.subst(values),
+                    unit.inverse_unit):
+            calls.clear()
+            got = run()
+            assert 0 < len(calls) <= len(got.terms), (vars, run)
+
+
 # -- the product kernel against all pairs ------------------------------------
 
 def all_pairs(R, t1, t2, n):
@@ -593,12 +685,13 @@ def dense_series(rng, R, vars, precision, low=0):
 
 @pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_product_packing_edges(R):
-    # _product keys a multivariate monomial by its exponents read as digits
-    # in base n.  Dense factors, checked at every n from -1 up, hold the
-    # monomials that alias under that packing if terms of degree >= n are
-    # packed ((0, n) and (1, 0); (n, 0) and (n - 1, n); (0, 0, n) and
-    # (0, 1, 0)), components that reach n - 1, Laurent tails down to t^-3,
-    # empty factors and unequal precisions.
+    # _product keys a multivariate monomial by its total degree and its
+    # exponents but the last, read as digits in base n.  Dense factors,
+    # checked at every n from -1 up, hold the monomials that alias under
+    # that packing if terms of degree >= n are packed ((n, 0) and
+    # (0, n + 1); (0, n, 0) and (1, 0, n - 1)), components that reach
+    # n - 1, Laurent tails down to t^-3, empty factors and unequal
+    # precisions.
     rng = random.Random("packing %r" % (R,))
     cases = []
     for vars, pa, pb in [(("x", "y"), 5, 5), (("x", "y"), 6, 3),
