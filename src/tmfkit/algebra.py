@@ -729,6 +729,11 @@ class PolynomialRing(Ring):
 # integer matrices: Smith normal form and friends (used by the Landweber
 # regularity check on graded pieces)
 
+# desk-scale cap on the bit length of a Smith-form entry: least-absolute-value
+# pivoting can grow entries without bound, and 4096 bits stays below Python's
+# 4300-digit str() limit
+SMITH_BITS_CAP = 4096
+
 
 def _swap_rows(a, U, i, j):
     a[i], a[j] = a[j], a[i]
@@ -754,7 +759,9 @@ def _clear_pivot(a, U, V, t):
     """Clear row and column t around the nonzero pivot a[t][t] by division
     with remainder, swapping in any smaller remainder as the new pivot.  The
     pivot's sign is left to smith_normal_form's sign pass: no move touches
-    row t before that pass runs, so negating it there gives the same U."""
+    row t before that pass runs, so negating it there gives the same U.
+    After each pass an entry of row or column t past SMITH_BITS_CAP bits is
+    an input error."""
     rows, cols = len(a), len(V)
     while True:
         done = True
@@ -770,6 +777,10 @@ def _clear_pivot(a, U, V, t):
                 if a[t][j]:
                     _swap_cols(a, V, t, j)
                     done = False
+        bits = max(abs(x).bit_length() for x in a[t] + [r[t] for r in a])
+        if bits > SMITH_BITS_CAP:
+            raise AlgebraError("a Smith-form entry of %d bits exceeds the "
+                               "desk-scale cap %d" % (bits, SMITH_BITS_CAP))
         if done:
             break
 
@@ -828,22 +839,19 @@ def abelian_group_structure(n_gens, relations):
     return free, torsion
 
 
-def integer_solve(mat, target):
-    """Solve mat * x = target over Z; return x or None.  mat is a list of rows."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    D, U, V = smith_normal_form(mat)
-    b = [sum(U[i][k] * target[k] for k in range(rows)) for i in range(rows)]
-    w = [0] * cols
-    for i in range(rows):
+def in_column_span(smith, target):
+    """Is target an integer combination of the columns of mat, given
+    smith = smith_normal_form(mat)?  It is exactly when each entry of
+    U * target is a multiple of D's diagonal entry in its row, and zero past
+    the diagonal."""
+    D, U, V = smith
+    cols = len(V)
+    for i, row in enumerate(U):
+        b = sum(map(operator.mul, row, target))
         d = D[i][i] if i < cols else 0
-        if d:
-            if b[i] % d != 0:
-                return None
-            w[i] = b[i] // d
-        elif b[i] != 0:
-            return None
-    return [sum(V[i][k] * w[k] for k in range(cols)) for i in range(cols)]
+        if b % d if d else b:
+            return False
+    return True
 
 
 def integer_kernel(mat):

@@ -3,6 +3,7 @@ and byte-for-byte determinism."""
 
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from tmfkit import cli
-from tmfkit.algebra import InternalCheckError
+from tmfkit.algebra import InternalCheckError, SMITH_BITS_CAP
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -214,6 +215,25 @@ class TestLandweber:
         code, _ = run_cli(["landweber", "--config", cfg])
         assert code == 2
 
+    @pytest.mark.parametrize("relations,witness", [
+        ([[{"mon": [0, 1], "coeff": 3}, {"mon": [1, 0], "coeff": 3}]],
+         "w + u"),
+        ([[{"mon": [0, 1], "coeff": 4}],
+          [{"mon": [0, 1], "coeff": 3}, {"mon": [1, 0], "coeff": -3}]],
+         "-6*w + 2*u"),
+    ], ids=["3w+3u", "4w,3w-3u"])
+    def test_kernel_witness_pinned(self, tmp_path, relations, witness):
+        # the witness is read off the kernel basis of the Smith form, so
+        # its label pins the order of the elimination moves
+        cfg = self.write_config(tmp_path, {
+            "law": "multiplicative", "ring": {"kind": "Integers"}, "p": 3,
+            "presentation": {"gens": [["u", 1], ["w", 1]],
+                             "relations": relations}})
+        code, out = run_cli(["landweber", "--config", cfg])
+        assert code == 0 and json.loads(out)["stages"] == [
+            {"stage": 0, "v": 3, "status": "fail", "first_failing_degree": 1,
+             "kernel_witness": witness}]
+
 
 class TestErrorHandling:
     def test_malformed_json_exits_two(self, monkeypatch, capsys):
@@ -289,6 +309,26 @@ class TestDeskScaleCaps:
         path.write_text(json.dumps({"law": law, "p": 3, "n_max": 1,
                                     "precision": 12}))
         assert run_cli(["landweber", "--config", str(path)])[0] == 0
+
+
+    def test_landweber_smith_entry_bits(self, tmp_path, capsys):
+        # five relations among five degree-1 generators with coefficients in
+        # +-1000: without the cap the Smith form's entries grow for minutes
+        rng = random.Random(0)
+        relations = [[{"mon": [int(i == j) for j in range(5)],
+                       "coeff": rng.randint(-1000, 1000)} for i in range(5)]
+                     for _ in range(5)]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "law": "multiplicative", "ring": {"kind": "Integers"}, "p": 3,
+            "n_max": 1, "degree_bound": 1,
+            "presentation": {"gens": [["g%d" % i, 1] for i in range(5)],
+                             "relations": relations}}))
+        start = time.monotonic()
+        code, _ = run_cli(["landweber", "--config", str(path)])
+        assert code == 2 and time.monotonic() - start < 5
+        assert "exceeds the desk-scale cap %d" % SMITH_BITS_CAP in \
+            capsys.readouterr().err
 
 
 class TestMalformedFields:
