@@ -51,6 +51,14 @@ def is_prime(n):
     return True
 
 
+def monomial_str(names, exps):
+    """Label of the monomial with these exponents on these names, e.g.
+    'x*y^2' or 'b^-1'; '1' when every exponent is zero."""
+    parts = [v if k == 1 else "%s^%d" % (v, k)
+             for v, k in zip(names, exps) if k]
+    return "*".join(parts) if parts else "1"
+
+
 def power(x, n, one, mul=operator.mul):
     """x^n for n >= 0 by square and multiply: on each bit of n, r = r * x
     if the bit is set, then x = x * x unless that was the top bit."""
@@ -215,7 +223,10 @@ class Rationals(Ring):
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, str):
-            return Fraction(obj)
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError:
+                raise AlgebraError("zero denominator in %r" % (obj,))
         raise AlgebraError("expected rational, got %r" % (obj,))
 
     def coeff_str(self, a):
@@ -382,6 +393,8 @@ class QuadExtField(Ring):
         self.p = p
         if modulus is None:
             modulus = _smallest_quad_modulus(p)
+        if len(modulus) not in (2, 3):
+            raise AlgebraError("modulus must be [c, b] or [c, b, 1]")
         c, b = modulus[0] % p, modulus[1] % p
         if len(modulus) > 2 and modulus[2] % p != 1:
             raise AlgebraError("modulus must be monic")
@@ -632,11 +645,9 @@ class Poly:
             cs = R.coeff_str(c)
             if i == 0:
                 parts.append(cs)
-            elif i == 1:
-                parts.append(var if cs == "1" else "%s*%s" % (cs, var))
             else:
-                parts.append("%s^%d" % (var, i) if cs == "1"
-                             else "%s*%s^%d" % (cs, var, i))
+                mon = monomial_str((var,), (i,))
+                parts.append(mon if cs == "1" else "%s*%s" % (cs, mon))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -792,7 +803,9 @@ def smith_normal_form(mat):
     The sequence of moves is part of the contract, not only D: a Smith form
     fixes D but not U and V, and integer_kernel reads its basis off the
     columns of V, so a different move order would change the kernel-witness
-    labels that the Landweber check prints."""
+    labels that the Landweber check prints.  An entry of U or V past
+    SMITH_BITS_CAP bits is an input error, checked once at the end: the
+    reduced matrix can stay under the cap while they outgrow it."""
     a = [list(row) for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -822,6 +835,11 @@ def smith_normal_form(mat):
                 _add_col(a, V, i + 1, i, 1)
                 _clear_pivot(a, U, V, i)
                 changed = True
+    bits = max((abs(x).bit_length() for m in (U, V) for row in m for x in row),
+               default=0)
+    if bits > SMITH_BITS_CAP:
+        raise AlgebraError("a Smith-form transform entry of %d bits exceeds "
+                           "the desk-scale cap %d" % (bits, SMITH_BITS_CAP))
     return a, U, V
 
 

@@ -6,7 +6,9 @@ differentials are d5, generated multiplicatively by d5(Delta) = alpha*beta^2,
 and d9, generated by d9(alpha*Delta^2) = beta^5), and assembles the homotopy
 of the global-sections spectrum in a degree window from the non-negative
 (DM) and negative (DC/K^1) presentations.  The two routes -- spectral
-sequence and presentation -- are cross-checked degreewise, and the
+sequence and presentation -- are cross-checked on every call: tmf_pi runs
+the spectral sequence on the degree it answers, so the mod-3 groups and the
+duality pairing, which are built from tmf_pi, are audited too.  The
 (-21)-shifted duality of the mod-3 homotopy is verified by an explicit
 pairing matrix.
 
@@ -18,7 +20,7 @@ generators; all torsion is elementary of order 3.
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, InternalCheckError, is_prime
+from .algebra import AlgebraError, InternalCheckError, is_prime, monomial_str
 from .modforms import (ModularForm, basis_monomials, dimension,
                        monomial_label, monomial_weight)
 
@@ -45,18 +47,7 @@ _DM_TORSION = {
 
 def _tors_label(e, f, c):
     """Chart label of alpha^e beta^f Delta^c."""
-    parts = []
-    if e:
-        parts.append("alpha")
-    if f == 1:
-        parts.append("beta")
-    elif f:
-        parts.append("beta^%d" % f)
-    if c == 1:
-        parts.append("Delta")
-    elif c:
-        parts.append("Delta^%d" % c)
-    return "*".join(parts) if parts else "1"
+    return monomial_str(("alpha", "beta", "Delta"), (e, f, c))
 
 
 def _free_label(kind, mon, scale):
@@ -459,15 +450,6 @@ def descent_ss(n_min=DEFAULT_WINDOW[0], n_max=DEFAULT_WINDOW[1]):
     return DescentChart((n_min, n_max), pages, restrict(einf))
 
 
-_CHART_CACHE = {}
-
-
-def _cached_chart(window=DEFAULT_WINDOW):
-    if window not in _CHART_CACHE:
-        _CHART_CACHE[window] = descent_ss(window[0] - 2, window[1] + 2)
-    return _CHART_CACHE[window]
-
-
 # ---------------------------------------------------------------------------
 # homotopy groups from the presentations
 
@@ -586,15 +568,16 @@ def _dc_torsion_gen(n):
             "dual_of": dual_label}
 
 
-def tmf_pi(n, check=True):
+def tmf_pi(n):
     """pi_n of the 3-local global sections over the degree window [-80, 80].
 
     Non-negative degrees come from the DM presentation (the d5-kernel of
     M_* on the zero line plus the order-3 algebra on alpha, beta, x =
     <alpha, alpha, beta^2>), negative degrees from the DC presentation
     (dual lattices with K^1 their all-scaled part, plus reflected order-3
-    classes strictly below degree -20).  With check=True the answer is
-    validated against the E-infinity page degreewise.
+    classes strictly below degree -20).  Every answer is audited against
+    the E-infinity page of the spectral sequence run on degree n alone:
+    the free rank and the number of order-3 classes must agree.
     """
     lo, hi = DEFAULT_WINDOW
     if not lo <= n <= hi:
@@ -615,26 +598,15 @@ def tmf_pi(n, check=True):
             raise InternalCheckError(
                 "degrees -1 .. -20 must be empty, found %r" % gens)
     report = HomotopyGroupReport(n, gens)
-    if check:
-        _check_report_against_chart(report)
-    return report
-
-
-def _check_report_against_chart(report):
-    """Orders of the associated graded at degree n must match the report."""
-    n = report.degree
-    chart = _cached_chart()
-    free = 0
-    torsion = 0
-    for (s, t), ent in chart.infinity.entries.items():
-        if 2 * t - s == n:
-            free += ent.free_rank()
-            torsion += len(ent.torsion)
+    einf = descent_ss(n, n).infinity.entries.values()
+    free = sum(ent.free_rank() for ent in einf)
+    torsion = sum(len(ent.torsion) for ent in einf)
     if free != report.free_rank or torsion != len(report.torsion):
         raise InternalCheckError(
             "degree %d: presentation gives rank %d + %d torsion classes, "
             "E-infinity gives %d + %d"
             % (n, report.free_rank, len(report.torsion), free, torsion))
+    return report
 
 
 def tmf_pi_window(n_min, n_max):
@@ -649,8 +621,8 @@ def tmf_pi_window(n_min, n_max):
 def _tmf3_gens(n):
     """Generators of pi_n of the mod-3 theory: (pi_n tensor Z/3) plus
     Tor(pi_(n-1), Z/3), as tagged copies of the integral generators."""
-    here = tmf_pi(n, check=False)
-    below = tmf_pi(n - 1, check=False)
+    here = tmf_pi(n)
+    below = tmf_pi(n - 1)
     gens = []
     for g in here.gens:
         gens.append({"part": "tensor", "degree": n, "gen": g})
@@ -675,8 +647,8 @@ def tmf_mod_p_pi(n, p=3):
     # exactness audit: |pi_n(tmf/3)| = |pi_n x Z/3| * |Tor(pi_(n-1), Z/3)|
     tensor = sum(1 for g in gens if g["part"] == "tensor")
     tor = sum(1 for g in gens if g["part"] == "tor")
-    here = tmf_pi(n, check=False)
-    below = tmf_pi(n - 1, check=False)
+    here = tmf_pi(n)
+    below = tmf_pi(n - 1)
     if tensor != len(here.gens) or tor != len(below.torsion):
         raise InternalCheckError("mod-3 splitting miscounts degree %d" % n)
     return {
@@ -842,27 +814,19 @@ def k1_tmf_p2(n, M, A):
     if M < 1 or A < 1:
         raise AlgebraError("truncation order and adic precision must be >= 1")
     residue = n % 8
-    base, free = None, None
-    if residue == 0:
-        base, free = "", True
-    elif residue == 1:
-        base, free = "eta", False
-    elif residue == 2:
-        base, free = "eta^2", False
-    elif residue == 4:
-        base, free = "v", True
-    if base is None:
+    if residue not in (0, 1, 2, 4):
         return {"degree": n, "monomial": None, "rank": 0, "free": False,
                 "module": "0",
                 "relations_applied": ["eta^3 = 0", "v*eta = 0"]}
-    g = (n - {"": 0, "eta": 1, "eta^2": 2, "v": 4}[base]) // 8
-    bpart = "" if g == 0 else ("b" if g == 1 else "b^%d" % g)
-    label = "*".join(p for p in (base, bpart) if p) or "1"
+    # eta^residue, or v in degree 4, times a power of b
+    eta, v = (0, 1) if residue == 4 else (residue, 0)
+    free = eta == 0
+    label = monomial_str(("eta", "v", "b"), (eta, v, (n - residue) // 8))
     basis_family = "%s*(1/j)^i for 0 <= i < %d" % (label, M)
     relations = []
     if free:
         module = "free of rank %d over Z_2 (mod 2^%d)" % (M, A)
-        if label.startswith("v"):
+        if v:
             relations.append("v^2 = 2b")
     else:
         module = "elementary 2-torsion (Z/2)^%d" % M
@@ -1012,9 +976,10 @@ def audit_derivations():
 
 def audit_degree_bookkeeping(chart=None):
     """Every stored class sits at (s, t) with 2t - s equal to its label
-    degree (alpha: 3, beta: 10, Delta: 24, c4: 8, c6: 12, duals: -2k-21)."""
+    degree (alpha: 3, beta: 10, Delta: 24, c4: 8, c6: 12, duals: -2k-21).
+    Without a chart, audits the one of the default window."""
     if chart is None:
-        chart = _cached_chart()
+        chart = descent_ss()
     for page in chart.pages:
         for (s, t), ent in page.groups.entries.items():
             n = 2 * t - s
@@ -1035,9 +1000,10 @@ def audit_degree_bookkeeping(chart=None):
 
 def render_chart_text(chart=None, n_min=-40, n_max=40):
     """ASCII chart of the E-infinity page: column 2t - s, row s; a free
-    summand prints its rank, an order-3 class prints a dot."""
+    summand prints its rank, an order-3 class prints a dot.  Without a
+    chart, runs the spectral sequence on [n_min, n_max]."""
     if chart is None:
-        chart = _cached_chart()
+        chart = descent_ss(n_min, n_max)
     lo, hi = chart.window
     if n_min < lo or n_max > hi:
         raise AlgebraError("render window exceeds the computed window")

@@ -45,6 +45,8 @@ def _read_payload(args):
         raise CLIInputError(
             "malformed JSON at line %d column %d: %s"
             % (exc.lineno, exc.colno, exc.msg))
+    except ValueError as exc:   # an integer past Python's digit limit
+        raise CLIInputError("malformed JSON: %s" % exc)
 
 
 def _emit(obj, out):
@@ -132,7 +134,8 @@ def _cmd_modforms_qexp(args, out):
         _emit(mf_mod.j_q_expansion(args.precision).to_json(), out)
         return
     if isinstance(payload, dict) and "name" in payload:
-        form = mf_mod.ModularForm.generator(payload["name"])
+        form = _decode("modular form JSON", mf_mod.ModularForm.generator,
+                       payload["name"])
     else:
         _require(payload, "terms", "modular form JSON")
         form = _decode("modular form JSON", mf_mod.ModularForm.from_json,

@@ -9,7 +9,7 @@ from fractions import Fraction
 from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
                       ZZ, QQ, PrimeField, IntegersMod, is_prime,
                       smith_normal_form, integer_kernel, in_column_span,
-                      abelian_group_structure)
+                      abelian_group_structure, monomial_str)
 from .series import Series, _solve_by_degree
 
 
@@ -24,8 +24,10 @@ class FGLInvalid(AlgebraError):
 
 def law_precision(p, n):
     """p^n, the precision past which a law shows v_n over F_p; an input
-    error past LAW_PRECISION_CAP.  p >= 2, so n >= 8 is past the cap, and
-    the power is not formed for it."""
+    error past LAW_PRECISION_CAP, or for n < 0.  p >= 2, so n >= 8 is past
+    the cap, and the power is not formed for it."""
+    if n < 0:
+        raise AlgebraError("height %d is negative" % n)
     if n >= LAW_PRECISION_CAP.bit_length() or p ** n > LAW_PRECISION_CAP:
         raise AlgebraError("p^n = %d^%d exceeds the desk-scale cap %d"
                            % (p, n, LAW_PRECISION_CAP))
@@ -36,12 +38,6 @@ def _first_monomial(series):
     if series.is_zero():
         return None
     return series.sorted_terms()[0][0]
-
-
-def _mon_str(vars, exp):
-    parts = [v if k == 1 else "%s^%d" % (v, k)
-             for v, k in zip(vars, exp) if k]
-    return "*".join(parts) if parts else "1"
 
 
 class FormalGroupLaw:
@@ -80,14 +76,14 @@ class FormalGroupLaw:
                     bad = {unit: R.zero}
                 first = min(bad, key=lambda t: (sum(t), t))
                 raise FGLInvalid("unit axiom fails at %s" %
-                                 _mon_str(F.vars, first))
+                                 monomial_str(F.vars, first))
 
         bad = [(a, b) for (a, b), c in F.terms.items()
                if not R.eq(F.coeff((b, a)), c)]
         if bad:
             first = min(bad, key=lambda t: (sum(t), t))
             raise FGLInvalid("commutativity fails at %s" %
-                             _mon_str(F.vars, first))
+                             monomial_str(F.vars, first))
 
         if check_associativity:
             # with F commutative, F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x)
@@ -97,7 +93,7 @@ class FormalGroupLaw:
             diff = G - G.rename(tri, [1, 2, 0])
             if not diff.is_zero():
                 raise FGLInvalid("associativity fails at %s" %
-                                 _mon_str(tri, _first_monomial(diff)))
+                                 monomial_str(tri, _first_monomial(diff)))
         return FormalGroupLaw(F, _certified=True)
 
     @staticmethod
@@ -322,6 +318,12 @@ class GradedRingPresentation:
                 raise AlgebraError("generator degrees must be positive")
         self.relations = []
         for rel in relations:
+            for mon in rel:
+                # the empty monomial is the constant term
+                if mon and (len(mon) != len(self.gens) or min(mon) < 0):
+                    raise AlgebraError("relation monomial %r needs one "
+                                       "non-negative exponent per generator"
+                                       % (mon,))
             degs = {self._mon_degree(m) for m in rel}
             if len(degs) > 1:
                 raise AlgebraError("non-homogeneous relation: %r" % (rel,))
@@ -347,9 +349,7 @@ class GradedRingPresentation:
         return sorted(out)
 
     def mon_name(self, mon):
-        parts = [n if e == 1 else "%s^%d" % (n, e)
-                 for (n, _), e in zip(self.gens, mon) if e]
-        return "*".join(parts) if parts else "1"
+        return monomial_str([name for name, _ in self.gens], mon)
 
     def relation_rows(self, degree, basis):
         """Integer rows spanning the degree piece of the relation ideal."""

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import (ZZ, AlgebraError, InternalCheckError,
-                      abelian_group_structure, power)
+                      abelian_group_structure, monomial_str, power)
 from .series import Series
 
 #: weight of each polynomial generator
@@ -30,14 +30,7 @@ def monomial_weight(mon):
 
 def monomial_label(mon):
     """Printable label for (a, b, c), e.g. 'c4^2*c6', 'Delta', '1'."""
-    a, b, c = mon
-    parts = []
-    for name, e in (("c4", a), ("c6", b), ("Delta", c)):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append("%s^%d" % (name, e))
-    return "*".join(parts) if parts else "1"
+    return monomial_str(("c4", "c6", "Delta"), mon)
 
 
 class ModularForm:

@@ -42,7 +42,8 @@ _solve_by_degree.
 from math import inf, lcm
 from operator import add, itemgetter, mul, not_
 
-from .algebra import AlgebraError, NotDivisible, InternalCheckError, power
+from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
+                      monomial_str, power)
 
 
 def _packing(k, n):
@@ -720,13 +721,17 @@ class Series:
         from .algebra import ring_from_json
         if ring is None:
             ring = ring_from_json(obj["ring"])
+        vars = tuple(obj["vars"])
         terms = {}
         lowest = 0
         for t in obj.get("terms", []):
             e = tuple(int(x) for x in t["exp"])
+            if len(e) != len(vars):
+                raise AlgebraError("exponent %r does not match the variables "
+                                   "%r" % (list(e), list(vars)))
             terms[e] = ring.coeff_from_json(t["coeff"])
             lowest = min(lowest, sum(e))
-        return cls(ring, tuple(obj["vars"]), int(obj["precision"]), terms, lowest)
+        return cls(ring, vars, int(obj["precision"]), terms, lowest)
 
     def __str__(self):
         if not self.terms:
@@ -734,11 +739,9 @@ class Series:
         R = self.ring
         parts = []
         for e, c in self.sorted_terms():
-            mon = "*".join(
-                v if k == 1 else "%s^%d" % (v, k)
-                for v, k in zip(self.vars, e) if k != 0)
+            mon = monomial_str(self.vars, e)
             cs = R.coeff_str(c)
-            if not mon:
+            if not any(e):
                 parts.append(cs)
             elif cs == "1":
                 parts.append(mon)

@@ -4,6 +4,7 @@ coordinate, division polynomials and exact heights, Hasse invariants,
 supersingularity tests, and the supersingular polynomial Phi(j)."""
 
 import math
+from itertools import accumulate, repeat
 
 from .algebra import (AlgebraError, InternalCheckError,
                       PrimeField, QuadExtField, Poly, poly_gcd,
@@ -162,7 +163,7 @@ class WeierstrassCurve:
 # Formal group of a curve
 
 
-def formal_group(curve, N, certify=True):
+def formal_group(curve, N):
     """The group law in z = -x/y (Silverman, AEC IV.1): w = -1/y = z^3 u
     by fixed-point recursion, x = z^-2/u and y = -z^-3/u from one inverse
     of u, and F(z1, z2) by the chord construction with its slope in closed
@@ -171,7 +172,9 @@ def formal_group(curve, N, certify=True):
     eta is the law's own invariant differential, checked by the identity
     eta (2y + a1 x + a3) = dx times z^3, which clears y's pole.  The slack
     Nw = N + 3 is that pole's order: x needs two degrees past N and F at
-    most two.  Returns {fgl, x_series, y_series, eta}."""
+    most two.  The law is always certified: FormalGroupLaw.validate checks
+    the unit, commutativity and associativity axioms below N.  Returns
+    {fgl, x_series, y_series, eta}."""
     if N < 3:
         raise AlgebraError("precision must be at least 3")
     if N > CURVE_PRECISION_CAP:
@@ -228,7 +231,7 @@ def formal_group(curve, N, certify=True):
     if F.precision < N:
         raise InternalCheckError("the chord construction lost precision: "
                                  "%d < %d" % (F.precision, N))
-    law = FormalGroupLaw.validate(F.truncate(N), check_associativity=certify)
+    law = FormalGroupLaw.validate(F.truncate(N))
 
     eta = law.invariant_differential().rename(("z",), [0])
     den2 = y.scale(i(2)) + x.scale(a1) + \
@@ -337,24 +340,39 @@ def short_form(curve):
 
 
 def deuring_coefficient(curve):
-    """The coefficient of x^(p-1) in (x^3 + A x + B)^((p-1)/2); vanishes
-    exactly for the supersingular curves.  Needs p >= 5."""
+    """The coefficient of x^(p-1) in (x^3 + A x + B)^m, m = (p-1)/2; it
+    vanishes exactly for the supersingular curves.  Needs p >= 5.
+
+    Closed form (Silverman, AEC V.4.1): a term x^(3i) (A x)^j B^k of the
+    power has i + j + k = m and 3i + j = 2m, so the coefficient is the sum
+    over i of m!/(i! j! k!) A^j B^k with j = 2m - 3i and k = 2i - m.  As
+    m < p the factorials are units mod p; O(p) ring operations."""
     R = curve.ring
     p = R.characteristic()
     if p < 5 or not is_prime(p):
         raise AlgebraError("Deuring coefficient needs characteristic >= 5")
     _, A, B = short_form(curve)
-    f = Poly(R, [B, A, R.zero, R.one])
-    h = f ** ((p - 1) // 2)
-    return h[p - 1]
+    m = (p - 1) // 2
+    fact = list(accumulate(range(1, m + 1), lambda f, n: f * n % p,
+                           initial=1))
+    lo, hi = (m + 1) // 2, 2 * m // 3      # the i with j >= 0 and k >= 0
+    a_pow = list(accumulate(repeat(A, 2 * m - 3 * lo), R.mul, initial=R.one))
+    b_pow = list(accumulate(repeat(B, 2 * hi - m), R.mul, initial=R.one))
+    total = R.zero
+    for i in range(lo, hi + 1):
+        j, k = 2 * m - 3 * i, 2 * i - m
+        c = fact[m] * pow(fact[i] * fact[j] * fact[k], -1, p) % p
+        total = R.add(total, R.mul(R.from_int(c), R.mul(a_pow[j], b_pow[k])))
+    return total
 
 
 def hasse_invariant(curve):
     """{v1, ordinary} for a smooth curve over a field of characteristic p:
     v1 is the t^p coefficient of the p-series of the z-coordinate formal
-    group (precision p+2); for large p the Deuring coefficient stands in
-    (same vanishing locus).  Cross-checked against the division-polynomial
-    height, and against Deuring for 5 <= p <= 13."""
+    group (precision p+2, its law certified associative); for large p the
+    Deuring coefficient stands in (same vanishing locus).  Cross-checked
+    against the division-polynomial height, and against Deuring for
+    5 <= p <= 13."""
     R = curve.ring
     p = R.characteristic()
     if p == 0 or not is_prime(p):
@@ -362,7 +380,7 @@ def hasse_invariant(curve):
     if not curve.is_smooth():
         raise AlgebraError("Hasse invariant requires smooth curve")
     if p <= HASSE_FGL_CAP:
-        law = formal_group(curve, p + 2, certify=(p <= 5))["fgl"]
+        law = formal_group(curve, p + 2)["fgl"]
         hp = height_profile(law, 1)
         v1 = hp.v_values[0] if hp.v_values else R.zero
         if 5 <= p:

@@ -198,7 +198,7 @@ def test_criterion_5_random_formal_group_laws():
 def test_criterion_6_descent_chart():
     b = Budget(6, "descent chart vs presentations", 30)
     # every degree in the window, computed from the spectral sequence and
-    # cross-checked against the closed-form presentations (check=True)
+    # cross-checked against the closed-form presentations
     reports = tmf_pi_window(-80, 80)
     assert len(reports) == 161
     # pinned landmarks

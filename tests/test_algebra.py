@@ -12,8 +12,10 @@ from tmfkit.algebra import (
     AlgebraError, InternalCheckError, NotDivisible, NotInvertible,
     ZZ, QQ, IntegersMod, PrimeField, LocalizedIntegers, QuadExtField,
     Poly, PolynomialRing, ring_from_json, is_prime, poly_gcd,
-    smith_normal_form, in_column_span, integer_kernel, power,
+    smith_normal_form, in_column_span, integer_kernel, power, monomial_str,
+    SMITH_BITS_CAP,
 )
+from tmfkit.chart import k1_tmf_p2
 
 small_ints = st.integers(min_value=-50, max_value=50)
 
@@ -412,3 +414,85 @@ def test_smith_normal_form_properties():
 def test_smith_normal_form_pinned(M, D, U, V):
     # U and V are pinned, not only D: integer_kernel reads its basis off V
     assert smith_normal_form(M) == (D, U, V)
+
+
+def test_smith_transform_entries_are_capped():
+    # the reduced matrix stays under the cap here, but U or V reaches an
+    # entry of 9560 bits
+    rng = random.Random(608)
+    n = rng.randint(3, 9)
+    M = [[rng.randint(-3000, 3000) for _ in range(n)] for _ in range(n)]
+    assert n == 4
+    with pytest.raises(AlgebraError) as exc:
+        smith_normal_form(M)
+    assert "transform entry of 9560 bits exceeds the desk-scale cap %d" \
+        % SMITH_BITS_CAP in str(exc.value)
+
+
+# the monomial printers that monomial_str replaced, kept as its oracles
+
+
+def old_mon_str(vars, exp):
+    parts = [v if k == 1 else "%s^%d" % (v, k)
+             for v, k in zip(vars, exp) if k]
+    return "*".join(parts) if parts else "1"
+
+
+def old_monomial_label(mon):
+    a, b, c = mon
+    parts = []
+    for name, e in (("c4", a), ("c6", b), ("Delta", c)):
+        if e == 1:
+            parts.append(name)
+        elif e != 0:
+            parts.append("%s^%d" % (name, e))
+    return "*".join(parts) if parts else "1"
+
+
+def old_tors_label(e, f, c):
+    parts = []
+    if e:
+        parts.append("alpha")
+    if f == 1:
+        parts.append("beta")
+    elif f:
+        parts.append("beta^%d" % f)
+    if c == 1:
+        parts.append("Delta")
+    elif c:
+        parts.append("Delta^%d" % c)
+    return "*".join(parts) if parts else "1"
+
+
+def old_series_monomial(vars, e):
+    return "*".join(v if k == 1 else "%s^%d" % (v, k)
+                    for v, k in zip(vars, e) if k != 0)
+
+
+def old_k1_label(n):
+    base = {0: "", 1: "eta", 2: "eta^2", 4: "v"}[n % 8]
+    g = (n - {"": 0, "eta": 1, "eta^2": 2, "v": 4}[base]) // 8
+    bpart = "" if g == 0 else ("b" if g == 1 else "b^%d" % g)
+    return "*".join(p for p in (base, bpart) if p) or "1"
+
+
+def test_monomial_str_matches_the_printers_it_replaced():
+    grid = range(-3, 4)
+    assert monomial_str((), ()) == old_mon_str((), ()) == "1"
+    for e in grid:
+        assert monomial_str(("t",), (e,)) == old_mon_str(("t",), (e,))
+        for f in grid:
+            for c in grid:
+                names, exps = ("x", "y", "_z"), (e, f, c)
+                assert monomial_str(names, exps) == old_mon_str(names, exps)
+                if exps != (0, 0, 0):
+                    assert monomial_str(names, exps) == \
+                        old_series_monomial(names, exps)
+                assert monomial_str(("c4", "c6", "Delta"), exps) == \
+                    old_monomial_label(exps)
+                if e in (0, 1):   # alpha^2 = 0: the chart printed alpha only
+                    assert monomial_str(("alpha", "beta", "Delta"), exps) \
+                        == old_tors_label(*exps)
+    for n in range(-40, 40):
+        if n % 8 in (0, 1, 2, 4):
+            assert k1_tmf_p2(n, 2, 3)["monomial"] == old_k1_label(n)

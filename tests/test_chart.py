@@ -4,6 +4,7 @@ range, the -21-shifted duality pairing, and the K(1)-local closed forms."""
 
 import pytest
 
+from tmfkit import chart
 from tmfkit.algebra import AlgebraError, InternalCheckError
 from tmfkit.modforms import ModularForm, dimension
 from tmfkit.chart import (
@@ -391,6 +392,32 @@ class TestTorsionAlgebra:
 class TestInternalAudits:
     def test_differentials_are_derivations(self):
         audit_derivations()
+
+    def test_every_route_through_tmf_pi_is_audited(self, monkeypatch):
+        # a presentation that loses a generator disagrees with E-infinity,
+        # also where tmf_pi is reached through the mod-3 groups
+        full = chart._dm_free_gens
+        monkeypatch.setattr(chart, "_dm_free_gens", lambda n: full(n)[:-1])
+        for call in (tmf_pi, tmf_mod_p_pi, duality_check):
+            with pytest.raises(InternalCheckError):
+                call(0)
+
+    def test_one_degree_chart_matches_the_whole_window(self):
+        # tmf_pi audits degree n against descent_ss(n, n)
+        def counts(ch, n):
+            ents = [e for (s, t), e in ch.infinity.entries.items()
+                    if 2 * t - s == n]
+            return (sum(e.free_rank() for e in ents),
+                    sum(len(e.torsion) for e in ents))
+        whole = descent_ss(-82, 82)
+        for n in range(-80, 81):
+            assert counts(descent_ss(n, n), n) == counts(whole, n), n
+
+    def test_render_builds_the_chart_of_its_window(self):
+        whole = descent_ss(-82, 82)
+        for lo, hi in ((-40, 40), (-4, 14), (-80, 80), (5, 5)):
+            assert render_chart_text(n_min=lo, n_max=hi) == \
+                render_chart_text(whole, lo, hi)
 
     def test_degree_bookkeeping(self):
         audit_degree_bookkeeping()

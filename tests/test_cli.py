@@ -1,14 +1,19 @@
 """Command-line front end: pinned outputs, payload plumbing, exit codes,
 and byte-for-byte determinism."""
 
+import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmfkit import cli
 from tmfkit.algebra import InternalCheckError, SMITH_BITS_CAP
@@ -358,6 +363,175 @@ class TestMalformedFields:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         self.run(["landweber", "--config", str(path)])
+
+
+class TestMalformedPayloadsInProcess:
+    """Payloads that once escaped as tracebacks are rejected where they
+    enter: the ring constructor, coeff_from_json, the presentation and the
+    series decoder."""
+
+    @pytest.mark.parametrize("argv,payload,message", [
+        (["curve", "invariants"],
+         {"ring": {"kind": "QuadExtField", "p": 3, "modulus": [1]},
+          "a": [0, 0, 0, 1, 1]}, "modulus must be [c, b] or [c, b, 1]"),
+        (["curve", "invariants"],
+         {"ring": {"kind": "Rationals"}, "a": [0, 0, 0, "1/0", 1]},
+         "zero denominator in '1/0'"),
+        (["modforms", "qexp", "--precision", "5"],
+         {"ring": {"kind": "Rationals"},
+          "terms": [{"a": 1, "b": 0, "c": 0, "coeff": "1/0"}]},
+         "zero denominator in '1/0'"),
+        (["modforms", "qexp", "--precision", "5"], {"name": [1]},
+         "unhashable type"),
+    ], ids=["quad-modulus-too-short", "curve-zero-denominator",
+            "qexp-zero-denominator", "qexp-name-not-a-string"])
+    def test_stdin_payload(self, argv, payload, message, monkeypatch,
+                           capsys):
+        code, out = run_cli(argv, json.dumps(payload), monkeypatch)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "") and err.startswith("input error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"law": "multiplicative", "ring": {"kind": "Integers"}, "p": 3,
+          "presentation": {"gens": [["u", 1]],
+                           "relations": [[{"mon": [1, 0], "coeff": 3}]]}},
+         "relation monomial (1, 0) needs one non-negative exponent per "
+         "generator"),
+        ({"law": {"F": {"ring": {"kind": "Integers"}, "vars": ["x", "y"],
+                        "precision": 6,
+                        "terms": [{"exp": [1], "coeff": 1},
+                                  {"exp": [0, 1], "coeff": 1}]}}, "p": 3},
+         "exponent [1] does not match the variables ['x', 'y']"),
+        ({"law": "multiplicative", "p": 0, "n_max": -1},
+         "height -1 is negative"),
+    ], ids=["relation-monomial-too-long", "series-exponent-too-short",
+            "negative-height"])
+    def test_landweber_config(self, cfg, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run_cli(["landweber", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "") and err.startswith("input error: ")
+        assert message in err
+
+    def test_empty_relation_monomial_is_the_constant_term(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "law": "multiplicative", "ring": {"kind": "Integers"}, "p": 3,
+            "presentation": {"gens": [["u", 1]],
+                             "relations": [[{"mon": [], "coeff": 3}]]}}))
+        code, out = run_cli(["landweber", "--config", str(path)])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "fail at stage 0"
+
+    def test_integer_past_the_digit_limit(self, monkeypatch, capsys):
+        text = '{"ring": {"kind": "Integers"}, "a": [0, 0, 0, 0, %s]}' \
+            % ("9" * 5000)
+        code, _ = run_cli(["curve", "invariants"], text, monkeypatch)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error: malformed")
+
+
+# -- in-process fuzz: random JSON values in the real fields of each payload
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+    st.sampled_from(["1/0", "2/3", "-1/2", "0", "1e3", "x", ""]),
+    st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=6)
+
+
+def fuzz(valid):
+    """The valid values of a field, or any JSON value in its place."""
+    return st.one_of(valid, JSON_VALUES)
+
+
+SMALL = st.integers(-2, 13)      # primes, moduli and generator degrees
+NAMES = fuzz(st.sampled_from(["x", "y", "u"]))
+RINGS = st.one_of(
+    st.sampled_from([{"kind": "Integers"}, {"kind": "Rationals"}]),
+    st.fixed_dictionaries({"kind": st.just("IntegersMod"), "m": fuzz(SMALL)}),
+    st.fixed_dictionaries({"kind": st.just("PrimeField"), "p": fuzz(SMALL)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("QuadExtField"), "p": fuzz(SMALL)},
+        optional={"modulus": fuzz(st.lists(SMALL, max_size=4))}),
+    st.fixed_dictionaries({"kind": st.just("ZInverted"),
+                           "inverted": fuzz(st.lists(SMALL, max_size=2))}),
+    st.fixed_dictionaries({"kind": st.just("ZLocalAt"), "p": fuzz(SMALL)}),
+    st.fixed_dictionaries({"kind": st.just("PolynomialRing"),
+                           "base": fuzz(st.fixed_dictionaries(
+                               {"kind": st.just("PrimeField"),
+                                "p": SMALL}))}),
+    JSON_VALUES)
+COEFFS = fuzz(st.one_of(SMALL, st.lists(SMALL, min_size=2, max_size=2),
+                        st.sampled_from(["1/2", "-3/4", "5"])))
+CURVES = fuzz(st.fixed_dictionaries(
+    {"ring": RINGS, "a": fuzz(st.lists(COEFFS, min_size=5, max_size=5))}))
+FORMS = fuzz(st.one_of(
+    st.fixed_dictionaries({"name": fuzz(st.sampled_from(
+        ["c4", "c6", "Delta", "j"]))}),
+    st.fixed_dictionaries({"ring": RINGS, "terms": fuzz(st.lists(
+        fuzz(st.fixed_dictionaries({
+            "a": fuzz(st.integers(-1, 4)), "b": fuzz(st.integers(-1, 4)),
+            "c": fuzz(st.integers(-1, 3)), "coeff": COEFFS})),
+        max_size=4))})))
+SERIES = fuzz(st.fixed_dictionaries({
+    "ring": RINGS, "vars": fuzz(st.lists(NAMES, max_size=3)),
+    "precision": fuzz(st.integers(-1, 10)),
+    "terms": fuzz(st.lists(fuzz(st.fixed_dictionaries({
+        "exp": fuzz(st.lists(st.integers(-1, 3), max_size=3)),
+        "coeff": COEFFS})), max_size=5))}))
+LAWS = fuzz(st.one_of(
+    st.sampled_from(["multiplicative", "additive"]),
+    st.fixed_dictionaries({"honda": fuzz(st.fixed_dictionaries(
+        {"p": fuzz(SMALL), "n": fuzz(st.integers(-1, 2))}))}),
+    st.fixed_dictionaries({"F": SERIES})))
+PRESENTATIONS = fuzz(st.fixed_dictionaries({}, optional={
+    "gens": fuzz(st.lists(fuzz(st.tuples(NAMES, fuzz(st.integers(-1, 3)))),
+                          max_size=3)),
+    "relations": fuzz(st.lists(fuzz(st.lists(fuzz(st.fixed_dictionaries({
+        "mon": fuzz(st.lists(st.integers(-1, 3), max_size=3)),
+        "coeff": fuzz(SMALL)})), max_size=3)), max_size=3))}))
+CONFIGS = fuzz(st.fixed_dictionaries({"law": LAWS, "p": fuzz(SMALL)}, optional={
+    "ring": RINGS, "n_max": fuzz(st.integers(-1, 2)),
+    "degree_bound": fuzz(st.integers(-1, 4)),
+    "precision": fuzz(st.integers(-1, 30)),
+    "presentation": PRESENTATIONS}))
+FUZZED = {
+    "curve invariants": st.tuples(st.just(["curve", "invariants"]), CURVES),
+    "curve hasse": st.tuples(st.just(["curve", "hasse"]), CURVES),
+    "curve fgl": st.builds(
+        lambda n, c: (["curve", "fgl", "--precision", str(n)], c),
+        st.integers(-1, 8), CURVES),
+    "modforms qexp": st.builds(
+        lambda n, f: (["modforms", "qexp", "--precision", str(n)], f),
+        st.integers(-1, 12), FORMS),
+    "landweber": st.tuples(st.just(["landweber", "--config"]), CONFIGS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED))
+@settings(max_examples=100, deadline=5000)
+@given(data=st.data())
+def test_fuzzed_payloads_exit_zero_or_two(command, data):
+    """cli.main, in this process, on random JSON values in the fields of a
+    real payload: exit 0 or 2, and no exception escapes."""
+    argv, payload = data.draw(FUZZED[command])
+    text = json.dumps(payload)
+    with contextlib.redirect_stderr(io.StringIO()):
+        if argv[0] == "landweber":
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "config.json")
+                with open(path, "w") as fh:
+                    fh.write(text)
+                code = cli.main(argv + [path], out=io.StringIO())
+        else:
+            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                code = cli.main(argv, out=io.StringIO())
+    assert code in (0, 2)
 
 
 class TestDeterminism:

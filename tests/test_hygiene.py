@@ -1,7 +1,8 @@
 """Source hygiene, checked with ast: no module in src/tmfkit keeps an unused
-import, or a private function, class or method that nothing refers to, and
-no coefficient ring keeps a method that nothing names.  The README's table
-of input caps states every cap the library enforces."""
+import, or a private function, class or method that nothing refers to; no
+coefficient ring keeps a method that nothing names; only algebra.py spells
+out the monomial label format.  The README's table of input caps states
+every cap the library enforces."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,16 @@ def test_no_unreferenced_private_definitions():
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in used]
     assert unreferenced == []
+
+
+def test_one_monomial_printer():
+    """The label format x*y^2 is written out once, in algebra.monomial_str:
+    the literal "%s^%d" occurs in no other module."""
+    holders = sorted({path.name for path in MODULES
+                      for node in ast.walk(parse(path))
+                      if isinstance(node, ast.Constant)
+                      and node.value == "%s^%d"})
+    assert holders == ["algebra.py"]
 
 
 def test_no_unreferenced_ring_methods():
