@@ -12,6 +12,7 @@ from fractions import Fraction
 import json
 import math
 import operator
+import re
 
 
 class AlgebraError(Exception):
@@ -174,6 +175,9 @@ class Integers(Ring):
         return obj
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 class Rationals(Ring):
     kind = "Rationals"
     zero = Fraction(0)
@@ -222,7 +226,9 @@ class Rationals(Ring):
             raise AlgebraError("expected rational, got %r" % (obj,))
         if isinstance(obj, int):
             return Fraction(obj)
-        if isinstance(obj, str):
+        # only the forms coeff_to_json writes: Fraction would also expand
+        # exponent notation, and "1e10000000" takes seconds to parse
+        if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
             try:
                 return Fraction(obj)
             except ZeroDivisionError:
@@ -372,12 +378,20 @@ class PrimeField(IntegersMod):
         return {"kind": "PrimeField", "p": self.p}
 
 
+def _quad_irreducible(p, b, c):
+    """Is x^2 + b x + c irreducible over F_p?  For odd p, exactly when its
+    discriminant is a non-square (Euler's criterion); over F_2 the only
+    irreducible quadratic is x^2 + x + 1."""
+    if p == 2:
+        return b % 2 == 1 and c % 2 == 1
+    return pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1
+
+
 def _smallest_quad_modulus(p):
-    # lexicographically smallest monic irreducible x^2 + b x + c over F_p,
-    # irreducibility tested by absence of roots
+    # lexicographically smallest monic irreducible x^2 + b x + c over F_p
     for b in range(p):
         for c in range(p):
-            if all((x * x + b * x + c) % p != 0 for x in range(p)):
+            if _quad_irreducible(p, b, c):
                 return (c, b)
     raise InternalCheckError("no irreducible quadratic over F_%d" % p)
 
@@ -398,7 +412,7 @@ class QuadExtField(Ring):
         c, b = modulus[0] % p, modulus[1] % p
         if len(modulus) > 2 and modulus[2] % p != 1:
             raise AlgebraError("modulus must be monic")
-        if any((x * x + b * x + c) % p == 0 for x in range(p)):
+        if not _quad_irreducible(p, b, c):
             raise AlgebraError("modulus x^2+%dx+%d is reducible mod %d" % (b, c, p))
         self.b = b
         self.c = c

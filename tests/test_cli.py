@@ -432,6 +432,46 @@ class TestMalformedPayloadsInProcess:
         assert code == 2
         assert capsys.readouterr().err.startswith("input error: malformed")
 
+    @pytest.mark.parametrize("ring", ["Rationals", "ZLocalAt"])
+    def test_exponent_notation_is_rejected_at_once(self, ring, monkeypatch,
+                                                   capsys):
+        payload = {"ring": {"kind": ring, "p": 3},
+                   "a": [0, 0, 0, "1/2", "1e10000000"]}
+        t0 = time.perf_counter()
+        code, out = run_cli(["curve", "invariants"], json.dumps(payload),
+                            monkeypatch)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        assert "expected rational, got '1e10000000'" in capsys.readouterr().err
+
+    def test_rational_forms_of_the_output_parse(self, monkeypatch):
+        # b2 = 20, b4 = -3/2, b6 = 2
+        payload = {"ring": {"kind": "Rationals"},
+                   "a": [0, "5", 0, "-3/4", "1/2"]}
+        code, out = run_cli(["curve", "invariants"], json.dumps(payload),
+                            monkeypatch)
+        got = json.loads(out)
+        assert code == 0 and (got["c4"], got["c6"]) == (436, -9512)
+
+    @pytest.mark.parametrize("payload", [
+        '{"ring": {"kind": "Integers"}, "a": [0, 0, 0, %s, %s]}'
+        % (10 ** 3000 - 1, 10 ** 3000 - 1),
+        json.dumps({"ring": {"kind": "Rationals"},
+                    "a": [0, 0, 0, 0, "9" * 4000 + "/7"]}),
+    ], ids=["integers-json-dumps", "rationals-coeff-to-json"])
+    def test_result_past_the_digit_limit(self, payload, monkeypatch, capsys):
+        code, out = run_cli(["curve", "invariants"], payload, monkeypatch)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "") and err.startswith("input error: ")
+        assert "limit (%d digits)" % sys.get_int_max_str_digits() in err
+
+    def test_other_value_errors_surface(self, monkeypatch):
+        def broken(weight):
+            raise ValueError("not a digit-limit error")
+        monkeypatch.setattr(cli.mf_mod, "basis_monomials", broken)
+        with pytest.raises(ValueError, match="not a digit-limit error"):
+            run_cli(["modforms", "basis", "--weight", "4"])
+
 
 # -- in-process fuzz: random JSON values in the real fields of each payload
 
@@ -478,6 +518,24 @@ FORMS = fuzz(st.one_of(
             "a": fuzz(st.integers(-1, 4)), "b": fuzz(st.integers(-1, 4)),
             "c": fuzz(st.integers(-1, 3)), "coeff": COEFFS})),
         max_size=4))})))
+# exponent notation, and integers and integer strings near Python's
+# 4300-digit str() limit, in well-formed payloads over the rings that take
+# them; only for commands whose cost stays small on them (not curve fgl)
+HUGE = st.one_of(SMALL, st.sampled_from(
+    ["1e10000000", "-2E5000", "1e3", "5e-1"]), st.builds(
+        lambda sign, digit, k, den: sign + str(digit) * k + den,
+        st.sampled_from(["", "-"]), st.integers(1, 9),
+        st.integers(3900, 4300), st.sampled_from(["", "/7"])), st.builds(
+        lambda digit, k: int(str(digit) * k), st.integers(1, 9),
+        st.integers(2900, 4300)))
+HUGE_RINGS = st.sampled_from([{"kind": "Integers"}, {"kind": "Rationals"},
+                              {"kind": "ZLocalAt", "p": 3}])
+HUGE_CURVES = st.fixed_dictionaries(
+    {"ring": HUGE_RINGS, "a": st.lists(HUGE, min_size=5, max_size=5)})
+HUGE_FORMS = st.fixed_dictionaries({"ring": HUGE_RINGS, "terms": st.lists(
+    st.fixed_dictionaries({"a": st.integers(0, 4), "b": st.integers(0, 4),
+                           "c": st.integers(0, 3), "coeff": HUGE}),
+    min_size=1, max_size=4)})
 SERIES = fuzz(st.fixed_dictionaries({
     "ring": RINGS, "vars": fuzz(st.lists(NAMES, max_size=3)),
     "precision": fuzz(st.integers(-1, 10)),
@@ -501,14 +559,15 @@ CONFIGS = fuzz(st.fixed_dictionaries({"law": LAWS, "p": fuzz(SMALL)}, optional={
     "precision": fuzz(st.integers(-1, 30)),
     "presentation": PRESENTATIONS}))
 FUZZED = {
-    "curve invariants": st.tuples(st.just(["curve", "invariants"]), CURVES),
+    "curve invariants": st.tuples(st.just(["curve", "invariants"]),
+                                  st.one_of(CURVES, HUGE_CURVES)),
     "curve hasse": st.tuples(st.just(["curve", "hasse"]), CURVES),
     "curve fgl": st.builds(
         lambda n, c: (["curve", "fgl", "--precision", str(n)], c),
         st.integers(-1, 8), CURVES),
     "modforms qexp": st.builds(
         lambda n, f: (["modforms", "qexp", "--precision", str(n)], f),
-        st.integers(-1, 12), FORMS),
+        st.integers(-1, 12), st.one_of(FORMS, HUGE_FORMS)),
     "landweber": st.tuples(st.just(["landweber", "--config"]), CONFIGS),
 }
 

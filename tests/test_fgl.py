@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from tmfkit import fgl
 from tmfkit.algebra import (
     AlgebraError, InternalCheckError, ZZ, QQ, PrimeField, IntegersMod,
-    LocalizedIntegers, smith_normal_form, integer_kernel, monomial_str,
+    LocalizedIntegers, QuadExtField, smith_normal_form, integer_kernel,
+    monomial_str,
 )
 from tmfkit.series import Series
 from tmfkit.fgl import (
@@ -20,6 +21,7 @@ from tmfkit.fgl import (
     check_homomorphism, GradedRingPresentation, landweber_regularity,
     LAW_PRECISION_CAP,
 )
+from tmfkit.weierstrass import WeierstrassCurve, formal_group
 
 
 class TestValidation:
@@ -185,6 +187,46 @@ class TestStructure:
         eta = F.invariant_differential()
         assert eta.precision == 6   # one derivative costs one order
         assert all(eta.coeff((k,)) == (-1) ** k for k in range(6))
+
+    @staticmethod
+    def eta_by_derivative(law):
+        """1/F_y(x, 0) by differentiating all of F in y."""
+        fy = law.F.derivative(law.vars[1])
+        one_var = {(e[0],): c for e, c in fy.terms.items() if e[1] == 0}
+        return Series(law.ring, ("t",), fy.precision, one_var).inverse_unit()
+
+    @staticmethod
+    def laws():
+        rings = [QQ, ZZ, PrimeField(2), PrimeField(3), IntegersMod(4),
+                 IntegersMod(12), QuadExtField(3), LocalizedIntegers(at=3)]
+        rng = random.Random("invariant differential")
+        for R in rings:
+            for n in (2, 3, 6, 9):
+                yield FormalGroupLaw.multiplicative(R, n)
+                yield FormalGroupLaw.additive(R, n)
+            yield FormalGroupLaw.validate(conjugated_multiplicative(R, 7, rng))
+            for _ in range(3):
+                a = [R.from_int(rng.randint(-3, 3)) for _ in range(5)]
+                try:
+                    curve = WeierstrassCurve(R, *a)
+                except AlgebraError:   # singular
+                    continue
+                yield formal_group(curve, rng.randint(3, 9))["fgl"]
+
+    def test_invariant_differential_matches_derivative_route(self):
+        for law in self.laws():
+            got, want = law.invariant_differential(), self.eta_by_derivative(law)
+            assert (got.terms, got.precision, got.lowest) == \
+                (want.terms, want.precision, want.lowest), law
+
+    def test_invariant_differential_differentiates_nothing(self, monkeypatch):
+        laws = list(self.laws())
+
+        def spy(*args):
+            raise AssertionError("invariant_differential differentiated F")
+        monkeypatch.setattr(Series, "derivative", spy)
+        for law in laws:
+            law.invariant_differential()
 
     def test_logarithm_multiplicative(self):
         # log(1+t): coefficient of t^k is (-1)^(k-1)/k

@@ -6,12 +6,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmfkit.algebra import AlgebraError, ZZ, QQ, PrimeField
+from tmfkit.algebra import AlgebraError, ZZ, QQ, PrimeField, IntegersMod
 from tmfkit.series import Series
 from tmfkit.modforms import (
     ModularForm, normal_form, basis, basis_monomials, dimension,
     q_expansion, j_q_expansion, qexp_injectivity_check, monomial_label,
-    WEIGHT_CAP,
+    WEIGHT_CAP, _mono_qexp,
 )
 
 
@@ -164,6 +164,28 @@ class TestQExpansions:
         assert [d3.coeff((k,)) for k in range(6)] == [0, 1, 0, 0, 1, 0]
         e4 = q_expansion(ModularForm.generator("c4", F), 5)
         assert [e4.coeff((k,)) for k in range(5)] == [1, 0, 0, 0, 0]
+
+    def test_cancelling_monomials_over_z4(self, monkeypatch):
+        # mod 4, c4 = c6 = 1 and c4^3 Delta = Delta as q-series: only the
+        # constant 1 + 3 + 2 = 2 survives
+        R = IntegersMod(4)
+        f = ModularForm(R, {(1, 0, 0): 1, (2, 0, 0): 3, (0, 1, 0): 2,
+                            (3, 0, 1): 1, (0, 0, 1): 3})
+        N = 12
+        old = Series.zero(R, ("q",), N)
+        for (a, b, c), co in f.sorted_terms():
+            old = old + _mono_qexp(a, b, c, N).truncate(N).map_coeffs(
+                lambda n, _co=co: R.mul(_co, R.from_int(n)), R)
+        built = []
+        init = Series.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(Series, "__init__", spy)
+        got = q_expansion(f, N)
+        assert got == old and got.terms == {(0,): 2}
+        assert len(built) == 1   # the monomial expansions are cached
 
     def test_monomial_weight_cap(self):
         # c4^(cap/4) is the heaviest monomial expanded; one c4 more is refused

@@ -723,6 +723,136 @@ def test_product_cancellation_leaves_no_zero_terms(R):
         assert all(not R.is_zero(v) for v in got.terms.values())
 
 
+# -- the constructor is the only term filter: each operation that used to
+# drop zero or out-of-window terms itself is checked against that code
+
+def nonzero(R, terms):
+    return {e: c for e, c in terms.items() if not R.is_zero(c)}
+
+
+def assert_same_clean(got, want):
+    R = got.ring
+    assert all(not R.is_zero(c) and sum(e) < got.precision
+               for e, c in got.terms.items()), got
+    assert (got.ring, got.terms, got.precision, got.lowest) == \
+        (want.ring, want.terms, want.precision, want.lowest)
+
+
+def prefiltered_add(f, g):
+    R = f.ring
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        s = R.add(out.get(e, R.zero), c)
+        if R.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return Series(R, f.vars, min(f.precision, g.precision), out,
+                  min(f.lowest, g.lowest))
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_sum_with_cancellation_matches_prefiltered(R):
+    rng = random.Random("cancel %r" % (R,))
+    for case in range(30):
+        vars = VARS[case % 3]
+        f = random_series(rng, R, vars, rng.randint(1, 6), 0)
+        h = random_series(rng, R, vars, rng.randint(1, 6), 0)
+        g = h - f   # f + g cancels every term of f that h lacks
+        assert_same_clean(f + g, prefiltered_add(f, g))
+        assert_same_clean(g + f, prefiltered_add(g, f))
+        assert (f - f).is_zero()
+
+
+def test_scale_by_two_over_z4_matches_prefiltered():
+    R = IntegersMod(4)
+    rng = random.Random("scale Z/4")
+    for case in range(30):
+        f = random_series(rng, R, VARS[case % 3], rng.randint(1, 6), 0)
+        want = Series(R, f.vars, f.precision,
+                      nonzero(R, {e: R.mul(2, c) for e, c in f.terms.items()}))
+        assert_same_clean(f.scale(2), want)
+    f = Series(R, ("t",), 4, {(0,): 2, (1,): 1, (3,): 2})
+    assert f.scale(2).terms == {(1,): 2}
+
+
+def test_map_coeffs_into_f3_matches_prefiltered():
+    F3 = PrimeField(3)
+    rng = random.Random("map F_3")
+    for case in range(30):
+        f = random_series(rng, ZZ, VARS[case % 3], rng.randint(1, 6), 0)
+        want = Series(F3, f.vars, f.precision,
+                      nonzero(F3, {e: F3.from_int(c)
+                                   for e, c in f.terms.items()}))
+        assert_same_clean(f.map_coeffs(F3.from_int, F3), want)
+    f = zt(4, {(0,): 3, (1,): 4, (2,): -6})
+    assert f.map_coeffs(F3.from_int, F3).terms == {(1,): 1}
+
+
+def prefiltered_derivative(f, i):
+    R = f.ring
+    out = {}
+    for e, c in f.terms.items():
+        if e[i]:
+            ne = tuple(x - 1 if j == i else x for j, x in enumerate(e))
+            out[ne] = R.mul(R.from_int(e[i]), c)
+    lo = f.lowest - 1 if f.lowest < 0 else 0
+    return Series(R, f.vars, f.precision - 1, nonzero(R, out), lo)
+
+
+@pytest.mark.parametrize("R", [PrimeField(2), IntegersMod(4), QQ, ZZ],
+                         ids=repr)
+def test_derivative_matches_prefiltered(R):
+    t2 = Series(R, ("t",), 4, {(2,): R.one})
+    assert t2.derivative().is_zero() == (R == PrimeField(2))
+    rng = random.Random("derivative %r" % (R,))
+    for case in range(30):
+        vars = VARS[case % 3]
+        f = random_series(rng, R, vars, rng.randint(2, 7), 0)
+        if len(vars) == 1 and case % 2:
+            f = laurent_series(rng, R, rng.randint(2, 7), -rng.randint(1, 2))
+        for i, name in enumerate(vars):
+            assert_same_clean(f.derivative(name),
+                              prefiltered_derivative(f, i))
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_truncate_matches_prefiltered(R):
+    rng = random.Random("truncate %r" % (R,))
+    for case in range(20):
+        vars = VARS[case % 3]
+        f = random_series(rng, R, vars, rng.randint(1, 7), 0)
+        if len(vars) == 1 and case % 2:
+            f = laurent_series(rng, R, rng.randint(1, 7), -rng.randint(1, 2))
+        for m in range(1, f.precision + 1):
+            want = Series(R, vars, m, {e: c for e, c in f.terms.items()
+                                       if sum(e) < m}, f.lowest)
+            assert_same_clean(f.truncate(m), want)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_shifted_division_matches_prefiltered(R):
+    # route 2 of divide_exact: one variable, g = t^v times a unit series
+    rng = random.Random("shifted division %r" % (R,))
+    for case in range(30):
+        v = rng.randint(1, 3)
+        n = rng.randint(v + 1, 9)
+        g = Series(R, ("t",), n, {(v,): rng.choice(some_units(R))})
+        g = g + random_series(rng, R, ("t",), n, v + 1)
+        f = random_series(rng, R, ("t",), rng.randint(1, 9),
+                          rng.choice([0, 1, 2]))
+        if f.is_zero():
+            continue
+        m = min(f.precision, g.precision) - v - max(0, v - f.valuation())
+        if m < 1:
+            continue
+        q = (f * g.shift(-v).inverse_unit()).shift(-v).terms
+        q = {e: c for e, c in q.items() if e[0] < m}
+        low = min((sum(e) for e in q), default=0)
+        want = Series(R, ("t",), m, q, min(low, 0))
+        assert_same_clean(f.divide_exact(g, allow_laurent=True), want)
+
+
 @pytest.mark.parametrize("R", [QQ, LocalizedIntegers(at=3)], ids=repr)
 def test_product_with_large_coprime_denominators(R):
     big7, big11 = 7 ** 20, 11 ** 20
