@@ -10,11 +10,11 @@ from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
                       ZZ, QQ, PrimeField, IntegersMod, is_prime,
                       smith_normal_form, integer_kernel, in_column_span,
                       abelian_group_structure, monomial_str)
-from .series import Series, _solve_by_degree
+from .series import Series, _solve_implicit
 
 
 # desk-scale cap on p^n, the precision a law needs to show v_n: Honda laws
-# take about 2 s at p^n = 127 and 14 s at 251
+# take about 0.6 s at p^n = 127 and 3.7 s at 251 (Python 3.11, 2 CPUs)
 LAW_PRECISION_CAP = 128
 
 
@@ -115,17 +115,15 @@ class FormalGroupLaw:
         return self.F.subst([u, v])
 
     def formal_inverse(self):
-        """i(t) with F(t, i(t)) = 0, solved degree by degree from i = -t by
-        _solve_by_degree: with i right below degree k, the t^k coefficient
-        of F(t, i) is the error, read from a substitution truncated to
-        precision k + 1, and i gains minus that times t^k (F(x, y) = x + y
-        + higher terms).  The closing check is F(t, i) = 0 at the full
-        precision."""
+        """i(t) with F(t, i(t)) = 0: _solve_implicit with H = F, whose
+        linear coefficient in y is 1 (F(x, y) = x + y + higher terms).  The
+        closing check is F(t, i) = 0 at the full precision."""
         if self._inverse is not None:
             return self._inverse
         R = self.ring
-        t = Series.gen(R, ("t",), self.precision, "t")
-        inv = _solve_by_degree(-t, lambda i: self.F.subst([t, i]), R.one)
+        n = self.precision
+        t = Series.gen(R, ("t",), n, "t")
+        inv = Series(R, ("t",), n, _solve_implicit(R, self.F.terms, n))
         if not self.F.subst([t, inv]).is_zero():
             raise InternalCheckError("formal inverse failed to close")
         self._inverse = inv

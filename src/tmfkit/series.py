@@ -36,11 +36,19 @@ nothing above it.  The rule is sound: the unknown terms of the outer series
 start at its precision, and values of positive valuation keep them at that
 degree or above; an unknown term of a value, at its precision or above,
 stays there in every power of the value.  Both run the degree-truncated
-Horner loop _horner.  Reversion (Series.reverse and
-FormalGroupLaw.formal_inverse) is the one degree-by-degree solve
-_solve_by_degree.
+Horner loop _horner.
+
+Reversion is one implicit solve, _solve_implicit: the y with
+H(t, y(t)) = 0, one coefficient per degree from a table of the powers of y
+that grows by one degree per step (Knuth, TAOCP vol. 2, 4.7), with no
+composition or substitution.  Series.reverse solves f(y) = t, and
+FormalGroupLaw.formal_inverse solves F(t, y) = 0.  On rings with the
+to_cleared hook it runs on plain ints scaled by powers of h_01's numerator,
+with one from_cleared per output term.
 """
 
+from bisect import bisect_right
+from functools import reduce
 from math import inf, lcm
 from operator import add, itemgetter, mul, not_
 
@@ -110,8 +118,19 @@ def _pairs(R, t1, f2, n, s):
     partner past that bound.  Every kept pair has degree below n, so every
     digit of its key sum is below n and the sum, with no carry, is the key
     of the product monomial.  Zero coefficients may be left in."""
-    plus, times, _ = _arith(R)
     out = {}
+    if R.to_cleared is not None:
+        # plain ints: the operators inline
+        get = out.get
+        for k1, c1 in t1.items():
+            lim = (n - k1 // s) * s
+            for k2, c2 in f2:
+                if k2 >= lim:
+                    break
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return out
+    plus, times = R.add, R.mul
     for k1, c1 in t1.items():
         lim = (n - k1 // s) * s
         for k2, c2 in f2:
@@ -189,23 +208,58 @@ def _horner(R, part, g, v, n, top, packing):
     return _lower(R, acc, D, unpack)
 
 
-def _solve_by_degree(g, residual, unit):
-    """Complete g, a one-variable series holding only its degree-1 term, to
-    the series h with residual(h) = 0 below g's precision, one degree at a
-    time (the classical loop; Brent & Kung, J. ACM 1978).
+def _solve_implicit(R, H, n):
+    """The terms {(k,): y_k}, 1 <= k < n, of the power series y with
+    y(0) = 0 and H(t, y(t)) = 0 below degree n.  H is a term dict
+    {(a, b): h_ab} in (t, y) with no constant term, and h_01 is a unit.
 
-    With h right below degree k >= 2, the t^k coefficient e_k of
-    residual(h) depends only on h's terms below k + 1, and adding c t^k to
-    h moves it by c / unit.  So e_k is read from the residual of
-    h.truncate(k + 1), computed only below k + 1, and h gains
-    -e_k * unit t^k."""
-    R = g.ring
-    n = g.precision
-    for k in range(2, n):
-        err = residual(g.truncate(k + 1)).coeff((k,))
-        if not R.is_zero(err):
-            g = g + Series(R, g.vars, n, {(k,): R.neg(R.mul(err, unit))})
-    return g
+    One degree at a time (the power-table reversion of Knuth, TAOCP
+    vol. 2, 4.7): the t^k coefficient of H(t, y) is h_01 y_k plus the sum
+    of h_ab P_b[k - a] over the other terms, with P_b[m] = [t^m] y^b.  An
+    entry P_b[k], b >= 2, involves y_i only for i <= k - b + 1, so each
+    step first extends the table of powers of y by its degree-k entries,
+    P_b[k] = sum_i y_i P_(b-1)[k - i], and then sets
+    y_k = -h_01^-1 * (that sum).  Every step is exact in any commutative
+    ring.
+
+    On rings with the to_cleared hook (Q and its localizations) the solve
+    runs on plain ints, with one from_cleared per output term.  With A_ab
+    the numerators of H over a common denominator and U = A_01, the
+    integers Y_k = U^(2k-1) y_k and Q_(b,m) = U^(2m-b) P_b[m] satisfy
+    Y_k = -sum A_ab U^(2a+b-2) Q_(b,k-a) and
+    Q_(b,m) = sum_i Y_i Q_(b-1,m-i); the exponent 2a + b - 2 is never
+    negative, as (a, b) is neither (0, 0) nor (0, 1)."""
+    keys = sorted((e for e in H if sum(e) and e != (0, 1)), key=sum)
+    # cs holds the factors -h_ab / h_01 (-A_ab U^(2a+b-2) on plain ints)
+    if R.to_cleared is None:
+        zero, one = R.zero, R.one
+        m = R.neg(R.inv(H[0, 1]))
+        cs = [R.mul(m, H[e]) for e in keys]
+
+        def dot(xs, ys):
+            return reduce(R.add, map(R.mul, xs, ys), zero)
+    else:
+        A = dict(zip(H, R.to_cleared(list(H.values()))[0]))
+        U = A[0, 1]
+        zero, one = 0, 1
+        cs = [-A[a, b] * U ** (2 * a + b - 2) for a, b in keys]
+
+        def dot(xs, ys):
+            return sum(map(mul, xs, ys))
+    degs = [sum(e) for e in keys]
+    top = max([b for _, b in keys] + [1])
+    # P[b][m] = [t^m] y^b; P[1] is y itself
+    P = [[one] + [zero] * (n - 1)] + [[zero] * n for _ in range(top)]
+    y = P[1]
+    for k in range(1, n):
+        for b in range(2, min(k, top) + 1):
+            P[b][k] = dot(y[1:k - b + 2], P[b - 1][k - 1:b - 2:-1])
+        j = bisect_right(degs, k)
+        y[k] = dot(cs[:j], [P[b][k - a] for a, b in keys[:j]])
+    if R.to_cleared is None:
+        return {(k,): c for k, c in enumerate(y) if k}
+    back = R.from_cleared
+    return {(k,): back(c, U ** (2 * k - 1)) for k, c in enumerate(y) if c}
 
 
 class Series:
@@ -670,21 +724,24 @@ class Series:
     # -- reversion ----------------------------------------------------------
 
     def reverse(self):
-        """Compositional inverse of a single-variable series of valuation 1,
-        by _solve_by_degree on the residual f(g) - t: with g correct below
-        degree k, the coefficient of t^k in f(g) is the error, read from a
-        composition truncated to precision k + 1."""
+        """Compositional inverse of a single-variable series f of valuation
+        1 with a unit linear coefficient: the g with f(g(t)) = t, by
+        _solve_implicit on H(t, y) = f(y) - t.  The result has f's
+        precision.  Laurent input is rejected."""
         if len(self.vars) != 1:
             raise AlgebraError("reversion is single-variable only")
+        if self.lowest < 0:
+            raise AlgebraError("cannot reverse a Laurent series")
         R = self.ring
         a1 = self.coeff((1,))
         if not R.is_zero(self.constant_term()) or R.is_zero(a1):
             raise AlgebraError("reversion needs valuation exactly 1")
         if not R.is_unit(a1):
             raise AlgebraError("leading coefficient not invertible")
-        a1i = R.inv(a1)
-        g = Series(R, self.vars, self.precision, {(1,): a1i})
-        return _solve_by_degree(g, self.compose, a1i)
+        H = {(0, e): c for (e,), c in self.terms.items()}
+        H[1, 0] = R.neg(R.one)
+        return Series(R, self.vars, self.precision,
+                      _solve_implicit(R, H, self.precision))
 
     # -- serialization ------------------------------------------------------
 

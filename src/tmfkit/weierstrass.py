@@ -4,6 +4,7 @@ coordinate, division polynomials and exact heights, Hasse invariants,
 supersingularity tests, and the supersingular polynomial Phi(j)."""
 
 import math
+from functools import reduce
 from itertools import accumulate, repeat
 
 from .algebra import (AlgebraError, InternalCheckError,
@@ -165,10 +166,11 @@ class WeierstrassCurve:
 
 def formal_group(curve, N):
     """The group law in z = -x/y (Silverman, AEC IV.1): w = -1/y = z^3 u
-    by fixed-point recursion, x = z^-2/u and y = -z^-3/u from one inverse
-    of u, and F(z1, z2) by the chord construction with its slope in closed
-    form, then certified.  Every division is by a unit (u, A, den), so Z/4,
-    Z/12 and the singular cubics of characteristic 2 get their law too.
+    by the coefficient recurrence of u, x = z^-2/u and y = -z^-3/u from
+    one inverse of u, and F(z1, z2) by the chord construction with its
+    slope in closed form, then certified.  Every division is by a unit
+    (u, A, den), so Z/4, Z/12 and the singular cubics of characteristic 2
+    get their law too.
     eta is the law's own invariant differential, checked by the identity
     eta (2y + a1 x + a3) = dx times z^3, which clears y's pole.  The slack
     Nw = N + 3 is that pole's order: x needs two degrees past N and F at
@@ -185,18 +187,25 @@ def formal_group(curve, N):
     Nw = N + 3
     one = Series.one(R, ("z",), Nw)
     z = Series.gen(R, ("z",), Nw, "z")
-    zp = {k: z ** k for k in (1, 2, 3, 4, 6)}
-    u = one
-    for _ in range(Nw + 1):
-        u2 = u * u
-        nu = one + zp[1].scale(a1) * u + zp[2].scale(a2) * u \
-            + zp[3].scale(a3) * u2 + zp[4].scale(a4) * u2 \
-            + zp[6].scale(a6) * (u2 * u)
-        if nu == u:
-            break
-        u = nu
-    else:
-        raise InternalCheckError("w-recursion failed to converge")
+    zp = {k: z ** k for k in (1, 2, 3)}
+
+    def conv(f, g, m):
+        return reduce(R.add, map(R.mul, f[:m + 1], g[m::-1]), R.zero)
+
+    # u = 1 + a1 z u + a2 z^2 u + a3 z^3 u^2 + a4 z^4 u^2 + a6 z^6 u^3,
+    # coefficient by coefficient, with running coefficient lists of u^2
+    # and u^3: [u^2]_(k-3) and [u^3]_(k-6) need u only below k
+    u, u2, u3 = [R.one], [], []
+    for k in range(1, Nw):
+        if k >= 3:
+            u2.append(conv(u, u, k - 3))
+        if k >= 6:
+            u3.append(conv(u, u2, k - 6))
+        u.append(reduce(R.add, [R.mul(a, f[k - d]) for a, f, d in
+                                ((a1, u, 1), (a2, u, 2), (a3, u2, 3),
+                                 (a4, u2, 4), (a6, u3, 6)) if k >= d],
+                        R.zero))
+    u = Series(R, ("z",), Nw, {(k,): c for k, c in enumerate(u)})
     w = zp[3] * u
     rhs = zp[3] + (zp[1] * w).scale(a1) + (zp[2] * w).scale(a2) \
         + (w * w).scale(a3) + (zp[1] * w * w).scale(a4) + (w ** 3).scale(a6)

@@ -164,6 +164,15 @@ class TestComposition:
         with pytest.raises(AlgebraError):
             zt(5, {(2,): 1}).reverse()
 
+    @pytest.mark.parametrize("precision", [2, 3, 6])
+    def test_reverse_rejects_laurent_input(self, precision):
+        # a pole has no compositional inverse, even when the window is too
+        # short to show it in f(g)
+        for terms in ({(-1,): 1, (1,): 1}, {(1,): 1}):
+            f = Series(ZZ, ("t",), precision, terms, lowest=-1)
+            with pytest.raises(AlgebraError):
+                f.reverse()
+
 
 class TestDivision:
     def test_exact_division(self):
@@ -297,13 +306,15 @@ def plain_compose(f, g):
 
 
 def plain_reverse(f):
-    """Degree-by-degree reversion, each error read from a full compose."""
+    """Degree-by-degree reversion, each error read from a full compose of
+    f and g cut to precision k + 1 (the t^k coefficient needs no more)."""
     R = f.ring
     n = f.precision
     a1i = R.inv(f.coeff((1,)))
     g = Series(R, f.vars, n, {(1,): a1i})
     for k in range(2, n):
-        err = plain_compose(f, g).coeff((k,))
+        h = plain_compose(f.truncate(k + 1), g.truncate(k + 1))
+        err = h.coeff((k,))
         g = g + Series(R, f.vars, n, {(k,): R.neg(R.mul(err, a1i))})
     return g
 
@@ -405,11 +416,32 @@ def test_compose_matches_plain_horner(R):
 
 @pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_reverse_matches_plain_loop(R):
+    # units other than 1 exercise the U^(2k-1) scaling of the cleared path
     rng = random.Random("reverse %r" % (R,))
-    for _ in range(15):
-        f = random_series(rng, R, ("t",), rng.randint(2, 8), 2)
-        a1 = R.one if R == QQ else rng.choice(some_units(R))
+    units = some_units(R)
+    if R == QQ:
+        units += [Fraction(-3, 2), Fraction(5)]
+    for case in range(15):
+        n = rng.randint(12, 20) if case < 3 else rng.randint(2, 8)
+        f = random_series(rng, R, ("t",), n, 2)
+        a1 = rng.choice(units)
         f = f + Series(R, ("t",), f.precision, {(1,): a1})
+        got, want = f.reverse(), plain_reverse(f)
+        assert (got.terms, got.precision) == (want.terms, want.precision), f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("R", [QQ, LocalizedIntegers(at=7)], ids=repr)
+def test_reverse_matches_plain_loop_on_honda_logs(R, p):
+    """Sparse logarithms sum c t^(p^i) / p^i, scaled by a unit c."""
+    for n, c in ((p ** 2 + 2, Fraction(1)), (17, Fraction(-3, 2)),
+                 (20, Fraction(5))):
+        terms = {}
+        i = 0
+        while p ** i < n:
+            terms[(p ** i,)] = c / p ** i
+            i += 1
+        f = Series(R, ("t",), n, terms)
         got, want = f.reverse(), plain_reverse(f)
         assert (got.terms, got.precision) == (want.terms, want.precision), f
 
