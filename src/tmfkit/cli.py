@@ -48,6 +48,8 @@ def _read_payload(args):
             % (exc.lineno, exc.colno, exc.msg))
     except ValueError as exc:   # an integer past Python's digit limit
         raise CLIInputError("malformed JSON: %s" % exc)
+    except RecursionError:
+        raise CLIInputError("malformed JSON: nested too deeply")
 
 
 def _emit(obj, out):
@@ -64,11 +66,13 @@ def _require(payload, key, where):
 
 
 def _decode(where, fn, *args):
-    """fn(*args) on payload fields; a missing key or a value of the wrong
-    type is an input error, not a crash."""
+    """fn(*args) on payload fields; a missing key, a value of the wrong
+    type or one nested past the recursion limit is an input error, not a
+    crash."""
     try:
         return fn(*args)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError,
+            ValueError) as exc:
         raise CLIInputError("bad %s: %s" % (where, exc))
 
 

@@ -8,41 +8,43 @@ Laurent content is rejected.  The constructor is the one place that drops
 zero terms and terms at or above the precision; the kernels may keep zeros
 in their accumulators, and every operation hands its terms to it unfiltered.
 
-The kernels (_product, _horner, subst's monomials and inverse_unit) key a
-monomial by one int, the packed exponent vectors of Monagan & Pearce (CASC
-2007) in graded form: the total degree, then all exponents but the last as
-digits in base n, the degree bound (the exponent itself with one variable;
-d*n + e0 or (d*n + e0)*n + e1 with two or three).  Only Laurent series have
-negative exponents, and they have one variable; so a pair of total degree
-below n has every digit of its sum below n, and the keys add with no carry.
+The kernels (_product, subst's Horner loop and its monomials, and
+inverse_unit) key a monomial by one int, the packed exponent vectors of
+Monagan & Pearce (CASC 2007) in graded form: the total degree, then all
+exponents but the last as digits in base n, the degree bound (the exponent
+itself with one variable; d*n + e0 or (d*n + e0)*n + e1 with two or three).
+Only Laurent series have negative exponents, and they have one variable; so
+a pair of total degree below n has every digit of its sum below n, and the
+keys add with no carry.
 A key's degree is key // n^(k-1), and keys sort by degree.  Multivariate
 terms of degree n or more are dropped before packing: at base n, (n, 0) and
-(0, n + 1) would share a key.  _product, _horner and subst's monomials share
-one pair loop, _pairs; inverse_unit runs its own degree recurrence.
+(0, n + 1) would share a key.  _product and subst share one pair loop,
+_pairs; inverse_unit runs its own degree recurrence.
 
 Over Q and its localizations (the rings with the to_cleared hook) the
 kernels carry int numerators over one common denominator and build one
 Fraction per output term (the layout of FLINT's fmpq_poly).  A product
-clears each factor once; compose and subst clear their operands once and
-keep the Horner accumulator cleared for the whole call, its denominator the
-product of the factors' and the lcm with each added part's (see _horner).
-Every step is exact integer arithmetic on the numerators of one rational
-series, and a Fraction is canonical, so each result is the one ring
-arithmetic gives step by step.
+clears each factor once; subst clears its operands once and keeps the
+Horner accumulator cleared for the whole call, its denominator the product
+of the factors' and the lcm with each added term's (see subst).  Every step
+is exact integer arithmetic on the numerators of one rational series, and a
+Fraction is canonical, so each result is the one ring arithmetic gives step
+by step.
 
 Substitution has one precision rule: compose and subst return precision
 n = min of the precisions of the outer series and of the values, and claim
 nothing above it.  The rule is sound: the unknown terms of the outer series
 start at its precision, and values of positive valuation keep them at that
 degree or above; an unknown term of a value, at its precision or above,
-stays there in every power of the value.  Both run the degree-truncated
-Horner loop _horner.
+stays there in every power of the value.  compose is subst with one value,
+so both run subst's degree-truncated Horner loop.
 
 Reversion is one implicit solve, _solve_implicit: the y with
 H(t, y(t)) = 0, one coefficient per degree from a table of the powers of y
 that grows by one degree per step (Knuth, TAOCP vol. 2, 4.7), with no
-composition or substitution.  Series.reverse solves f(y) = t, and
-FormalGroupLaw.formal_inverse solves F(t, y) = 0.  On rings with the
+composition or substitution.  Series.reverse solves f(y) = t,
+FormalGroupLaw.formal_inverse solves F(t, y) = 0, and the curve's
+formal_group solves the Weierstrass equation for w(z).  On rings with the
 to_cleared hook it runs on plain ints scaled by powers of h_01's numerator,
 with one from_cleared per output term.
 """
@@ -166,46 +168,6 @@ def _product(R, t1, t2, n):
     b, D2 = _lift(R, t2, pack, cut)
     b = sorted(b.items(), key=itemgetter(0))
     return _lower(R, _pairs(R, a, b, n, s), D1 * D2, unpack)
-
-
-def _horner(R, part, g, v, n, top, packing):
-    """Terms below degree n of the sum over d = 0..top of g^d * part(d), by
-    Horner's rule acc -> acc * g + part(d) from d = top down to 0.
-
-    g is a term dict of valuation >= v >= 1.  The accumulator after step d
-    is multiplied by g d more times, which raises its degrees by at least
-    d * v, so only its terms below b = n - d * v are formed (none when
-    d * v >= n, and those steps are skipped).  part(d, b) gives the terms
-    of the d-th summand below b as ({key: c}, D), packed by packing
-    (_packing at base n) and cleared as _lift does.  compose and subst pass
-    n = min of their precisions, the one rule of the module docstring.
-
-    The accumulator stays packed and cleared for the whole call: int
-    numerators over one denominator D.  g is lifted once, over Dg; each
-    product multiplies D by Dg, and each part over Dp is added after both
-    sides are brought to lcm(D, Dp).  Every step is exact rational
-    arithmetic on numerators over a common denominator, so the one
-    from_cleared per output term at the end gives the payloads of ring
-    arithmetic step by step (a Fraction is canonical).  Rings without the
-    to_cleared hook keep ring arithmetic with D fixed at 1."""
-    pack, unpack, s = packing
-    plus = _arith(R)[0]
-    G, Dg = _lift(R, g, pack, n)
-    G = sorted(G.items(), key=itemgetter(0))
-    acc, D = {}, 1
-    for d in range(min(top, (n - 1) // v), -1, -1):
-        b = n - d * v
-        acc, D = (_pairs(R, acc, G, b, s), D * Dg) if acc else ({}, 1)
-        p, Dp = part(d, b)
-        L = lcm(D, Dp)
-        if L != D:
-            acc = {k: c * (L // D) for k, c in acc.items()}
-        if L != Dp:
-            p = {k: c * (L // Dp) for k, c in p.items()}
-        for k, c in p.items():
-            acc[k] = plus(acc[k], c) if k in acc else c
-        D = L
-    return _lower(R, acc, D, unpack)
 
 
 def _solve_implicit(R, H, n):
@@ -465,53 +427,41 @@ class Series:
     # -- substitution -------------------------------------------------------
 
     def compose(self, g):
-        """f(g) for single-variable f; g may be multivariate but needs
-        positive valuation.  The result has precision
-        n = min(f.precision, g.precision), the rule of subst, and claims
-        nothing above it.  Every coefficient below n is known: the unknown
-        terms of f start at degree f.precision, so in f(g) they start at
-        degree f.precision * val(g) >= f.precision, and the unknown terms
-        of g enter every power g^d, d >= 1, at degree g.precision or above.
-
-        The terms come from _horner, acc -> acc * g + a_d from the top
-        degree of f down to 0, truncated by degree: the accumulator after
-        step d is multiplied by g d more times, so its terms of degree at or
-        above n - d * val(g) cannot reach the result and are never
-        formed."""
+        """f(g) for single-variable f: subst([g]), so g may be multivariate
+        but needs positive valuation, and the result has precision
+        n = min(f.precision, g.precision).  f must be a power series: a
+        Laurent-mode f is rejected even when it has no negative term."""
         if len(self.vars) != 1:
             raise AlgebraError("compose requires a single-variable outer series")
         if self.lowest < 0:
             raise AlgebraError("cannot compose a Laurent series")
-        if not g.is_zero() and g.valuation() < 1:
-            raise AlgebraError("composition requires positive valuation")
-        R = self.ring
-        if g.ring != R:
-            raise AlgebraError("mismatched series (ring differs)")
-        n = min(self.precision, g.precision)
-        if self.is_zero() or g.is_zero():
-            return Series.constant(R, g.vars, n, self.constant_term())
-        v = g.valuation()
-        a, Df = _lift(R, self.terms, itemgetter(0), n)
-
-        def part(d, b):
-            return ({0: a[d]}, Df) if d in a else ({}, 1)
-
-        return Series(R, g.vars, n,
-                      _horner(R, part, g.terms, v, n, max(a, default=0),
-                              _packing(len(g.vars), n)))
+        return self.subst([g])
 
     def subst(self, values):
         """f(P0, P1, ...): substitute one series per variable.  Every value
         needs positive valuation, and all share the ring and variables.  The
-        result has precision n = min(f.precision, precisions of the values).
+        result has precision n = min(f.precision, precisions of the values),
+        the rule of the module docstring.
 
         Horner in the first variable: with f = sum_a x0^a f_a(x1, ...), the
         loop acc -> acc * P0 + f_a(P1, ...) runs from the top a down to 0,
-        truncated by degree as in compose: after step a the accumulator is
-        multiplied by P0 a more times, so only its terms below degree
-        n - a * val(P0) are formed.  Each f_a(P1, ...) is a linear
-        combination of monomials in P1, ..., memoized below degree n and
-        each built from a smaller one by one product."""
+        truncated by degree.  P0 has valuation v >= 1 (a zero P0 counts as
+        v = n), and the accumulator after step a is multiplied by P0 a more
+        times, which raises its degrees by at least a * v; so only its terms
+        below b = n - a * v are formed, and the steps with a * v >= n are
+        skipped.  Each f_a(P1, ...) is a linear combination of monomials in
+        P1, ..., memoized below degree n and each built from a smaller one
+        by one product.
+
+        The accumulator, packed by _packing at base n, stays cleared for the
+        whole call: int numerators over one denominator D.  P0 is lifted
+        once, over D0; each product multiplies D by D0, and each added term
+        c * m of f_a, over Df * Dm, is brought with the accumulator to their
+        lcm.  Every step is exact rational arithmetic on numerators over a
+        common denominator, so the one from_cleared per output term at the
+        end gives the payloads of ring arithmetic step by step (a Fraction
+        is canonical).  Rings without the to_cleared hook keep ring
+        arithmetic with every denominator 1."""
         if len(values) != len(self.vars):
             raise AlgebraError("need one series per variable")
         R = self.ring
@@ -521,11 +471,11 @@ class Series:
                 raise AlgebraError("mismatched series (ring or variables differ)")
             if not P.is_zero() and P.valuation() < 1:
                 raise AlgebraError("composition requires positive valuation")
-        if any(min(e) < 0 for e in self.terms):
+        # only Laurent mode (lowest < 0) admits negative exponents
+        if self.lowest < 0 and any(min(e) < 0 for e in self.terms):
             raise AlgebraError("cannot substitute into a Laurent series")
         n = min([self.precision] + [P.precision for P in values])
-        packing = _packing(len(tgt.vars), n)
-        pack, _, s = packing
+        pack, unpack, s = _packing(len(tgt.vars), n)
         plus, times, is_zero = _arith(R)
         rest = []
         for P in values[1:]:
@@ -549,31 +499,35 @@ class Series:
                 mono[e] = m, D
             return m, D
 
+        v = tgt.valuation() or n
+        # parts[a]: (c, m, Dc) for each term c * m of f_a(P1, ...), over
+        # Dc = Df * Dm; the terms with a * v >= n cannot reach the result
         f, Df = _lift(R, self.terms, tuple, n)
         parts = {}
         for e, c in f.items():
-            parts.setdefault(e[0], []).append((e[1:], c))
-
-        def part(a, b):
+            if e[0] * v < n:
+                m, Dm = monomial(e[1:])
+                parts.setdefault(e[0], []).append((c, m, Df * Dm))
+        G, D0 = _lift(R, tgt.terms, pack, n)
+        G = sorted(G.items(), key=itemgetter(0))
+        acc, D = {}, 1
+        for a in range(max(parts, default=0), -1, -1):
+            b = n - a * v
+            acc, D = (_pairs(R, acc, G, b, s), D * D0) if acc else ({}, 1)
             terms = parts.get(a, ())
-            ms = [monomial(e) for e, _ in terms]
-            L = lcm(*[D for _, D in ms])
+            L = lcm(D, *[Dc for _, _, Dc in terms])
+            if L != D:
+                acc = {k: c * (L // D) for k, c in acc.items()}
             lim = b * s
-            out = {}
-            for (_, c), (m, D) in zip(terms, ms):
-                if D != L:
-                    c = c * (L // D)
-                for x, t in m.items():
-                    if x < lim:
+            for c, m, Dc in terms:
+                if L != Dc:
+                    c = c * (L // Dc)
+                for k, t in m.items():
+                    if k < lim:
                         p = times(c, t)
-                        out[x] = plus(out[x], p) if x in out else p
-            return (out, Df * L) if out else ({}, 1)
-
-        # a zero P0 acts as one of valuation n: only f_0 survives
-        v = tgt.valuation() or n
-        return Series(R, tgt.vars, n,
-                      _horner(R, part, tgt.terms, v, n, max(parts, default=0),
-                              packing))
+                        acc[k] = plus(acc[k], p) if k in acc else p
+            D = L
+        return Series(R, tgt.vars, n, _lower(R, acc, D, unpack))
 
     def rename(self, new_vars, mapping=None):
         """Move to a new variable tuple.  mapping[i] = index of old variable i

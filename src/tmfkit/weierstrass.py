@@ -4,13 +4,12 @@ coordinate, division polynomials and exact heights, Hasse invariants,
 supersingularity tests, and the supersingular polynomial Phi(j)."""
 
 import math
-from functools import reduce
 from itertools import accumulate, repeat
 
 from .algebra import (AlgebraError, InternalCheckError,
                       PrimeField, QuadExtField, Poly, poly_gcd,
                       minimal_polynomial, is_prime, ring_from_json)
-from .series import Series
+from .series import Series, _solve_implicit
 from .fgl import FormalGroupLaw, height_profile
 
 SS_PRIME_CAP = 101
@@ -166,11 +165,13 @@ class WeierstrassCurve:
 
 def formal_group(curve, N):
     """The group law in z = -x/y (Silverman, AEC IV.1): w = -1/y = z^3 u
-    by the coefficient recurrence of u, x = z^-2/u and y = -z^-3/u from
-    one inverse of u, and F(z1, z2) by the chord construction with its
+    from the series solver _solve_implicit on the curve equation
+    H(z, w) = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3 - w = 0,
+    whose h_01 = -1 is a unit in every ring; x = z^-2/u and y = -z^-3/u
+    from one inverse of u; and F(z1, z2) by the chord construction with its
     slope in closed form, then certified.  Every division is by a unit
-    (u, A, den), so Z/4, Z/12 and the singular cubics of characteristic 2
-    get their law too.
+    (h_01, u, A, den), so Z/4, Z/12 and the singular cubics of
+    characteristic 2 get their law too.
     eta is the law's own invariant differential, checked by the identity
     eta (2y + a1 x + a3) = dx times z^3, which clears y's pole.  The slack
     Nw = N + 3 is that pole's order: x needs two degrees past N and F at
@@ -189,24 +190,16 @@ def formal_group(curve, N):
     z = Series.gen(R, ("z",), Nw, "z")
     zp = {k: z ** k for k in (1, 2, 3)}
 
-    def conv(f, g, m):
-        return reduce(R.add, map(R.mul, f[:m + 1], g[m::-1]), R.zero)
-
-    # u = 1 + a1 z u + a2 z^2 u + a3 z^3 u^2 + a4 z^4 u^2 + a6 z^6 u^3,
-    # coefficient by coefficient, with running coefficient lists of u^2
-    # and u^3: [u^2]_(k-3) and [u^3]_(k-6) need u only below k
-    u, u2, u3 = [R.one], [], []
-    for k in range(1, Nw):
-        if k >= 3:
-            u2.append(conv(u, u, k - 3))
-        if k >= 6:
-            u3.append(conv(u, u2, k - 6))
-        u.append(reduce(R.add, [R.mul(a, f[k - d]) for a, f, d in
-                                ((a1, u, 1), (a2, u, 2), (a3, u2, 3),
-                                 (a4, u2, 4), (a6, u3, 6)) if k >= d],
-                        R.zero))
-    u = Series(R, ("z",), Nw, {(k,): c for k, c in enumerate(u)})
-    w = zp[3] * u
+    # three degrees of w past Nw give u = w/z^3 below Nw
+    H = {e: c for e, c in (((3, 0), R.one), ((1, 1), a1), ((2, 1), a2),
+                           ((0, 2), a3), ((1, 2), a4), ((0, 3), a6))
+         if not R.is_zero(c)}
+    H[0, 1] = R.neg(R.one)
+    W = _solve_implicit(R, H, Nw + 3)
+    u = Series(R, ("z",), Nw,
+               {(k - 3,): c for (k,), c in W.items() if k >= 3})
+    # w = z^3 u, at the precision of z^3
+    w = Series(R, ("z",), zp[3].precision, W)
     rhs = zp[3] + (zp[1] * w).scale(a1) + (zp[2] * w).scale(a2) \
         + (w * w).scale(a3) + (zp[1] * w * w).scale(a4) + (w ** 3).scale(a6)
     if rhs != w:

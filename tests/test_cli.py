@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmfkit import cli
-from tmfkit.algebra import InternalCheckError, SMITH_BITS_CAP
+from tmfkit.algebra import InternalCheckError, SMITH_BITS_CAP, ring_from_json
+from tmfkit.series import Series
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -267,6 +268,84 @@ class TestErrorHandling:
     def test_missing_file_exits_two(self):
         code, _ = run_cli(["landweber", "--config", "/nonexistent.json"])
         assert code == 2
+
+
+def nested_ring(depth):
+    """A ring descriptor: PolynomialRing over itself depth times, over F_3."""
+    return ('{"kind": "PolynomialRing", "base": ' * depth
+            + '{"kind": "PrimeField", "p": 3}' + "}" * depth)
+
+
+# argv and raw payload text around a ring descriptor, for each command that
+# reads JSON; an integer is not a coefficient of a polynomial ring, so a
+# descriptor that decodes still gives exit 2
+RING_PAYLOADS = {
+    "curve invariants": (["curve", "invariants"],
+                         '{"ring": %s, "a": [0, 0, 0, 0, 1]}'),
+    "curve hasse": (["curve", "hasse"], '{"ring": %s, "a": [0, 0, 0, 0, 1]}'),
+    "curve fgl": (["curve", "fgl", "--precision", "4"],
+                  '{"ring": %s, "a": [0, 0, 0, 0, 1]}'),
+    "modforms qexp": (["modforms", "qexp", "--precision", "5"],
+                      '{"ring": %s, "terms": [{"a": 1, "b": 0, "c": 0, '
+                      '"coeff": 1}]}'),
+    "landweber": (["landweber", "--config"],
+                  '{"p": 3, "law": {"F": {"ring": %s, "vars": ["x", "y"], '
+                  '"precision": 4, "terms": [{"exp": [1, 0], "coeff": 1}]}}}'),
+}
+
+
+def run_text(argv, text):
+    """cli.main on raw payload text, on stdin, or for landweber in a config
+    file whose path ends argv; stderr is left to the caller."""
+    if argv[0] == "landweber":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            return cli.main(argv + [path], out=io.StringIO())
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        return cli.main(argv, out=io.StringIO())
+
+
+class TestDeepNesting:
+    """JSON nested past the recursion limit is an input error (exit 2),
+    whether json.loads or a ring descriptor's decoder runs out of stack."""
+
+    @pytest.mark.parametrize("command", sorted(RING_PAYLOADS))
+    @pytest.mark.parametrize("depth", [1000, 10000, 100000])
+    @pytest.mark.parametrize("shape", ["list", "object"])
+    def test_nested_text(self, command, depth, shape, capsys):
+        text = ("[" * depth + "]" * depth if shape == "list"
+                else '{"a": ' * depth + "1" + "}" * depth)
+        assert run_text(RING_PAYLOADS[command][0], text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("decoder", [
+        ring_from_json,
+        lambda ring: cli.wz_mod.WeierstrassCurve.from_json(
+            {"ring": ring, "a": [0, 0, 0, 0, 1]}),
+        lambda ring: Series.from_json(
+            {"ring": ring, "vars": ["x"], "precision": 2, "terms": []}),
+        lambda ring: cli.mf_mod.ModularForm.from_json(
+            {"ring": ring, "terms": []}),
+    ], ids=["ring", "curve", "series", "modular-form"])
+    def test_decoder_out_of_stack_is_an_input_error(self, decoder):
+        # built in Python: json.loads would run out of stack first
+        ring = {"kind": "PrimeField", "p": 3}
+        for _ in range(5000):
+            ring = {"kind": "PolynomialRing", "base": ring}
+        with pytest.raises(cli.CLIInputError,
+                           match="maximum recursion depth exceeded"):
+            cli._decode("payload", decoder, ring)
+
+    @pytest.mark.parametrize("command", sorted(RING_PAYLOADS))
+    @pytest.mark.parametrize("depth", [900, 960, 985, 1500, 5000])
+    def test_nested_ring_descriptor(self, command, depth, capsys):
+        argv, payload = RING_PAYLOADS[command]
+        assert run_text(argv, payload % nested_ring(depth)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
 
 
 class TestDeskScaleCaps:
@@ -558,17 +637,41 @@ CONFIGS = fuzz(st.fixed_dictionaries({"law": LAWS, "p": fuzz(SMALL)}, optional={
     "degree_bound": fuzz(st.integers(-1, 4)),
     "precision": fuzz(st.integers(-1, 30)),
     "presentation": PRESENTATIONS}))
+
+
+class RawText(str):
+    """Payload text handed to the command as it is, not through
+    json.dumps (which cannot build JSON nested this deep)."""
+
+
+DEPTHS = st.one_of(st.integers(900, 3000), st.just(100000))
+
+
+def nested_text(command):
+    """Lists, objects or a ring descriptor nested about as deep as the
+    recursion limit or far past it."""
+    return st.one_of(
+        st.builds(lambda d: RawText("[" * d + "]" * d), DEPTHS),
+        st.builds(lambda d: RawText('{"a": ' * d + "1" + "}" * d), DEPTHS),
+        st.builds(lambda d: RawText(RING_PAYLOADS[command][1]
+                                    % nested_ring(d)), DEPTHS))
+
+
 FUZZED = {
     "curve invariants": st.tuples(st.just(["curve", "invariants"]),
-                                  st.one_of(CURVES, HUGE_CURVES)),
-    "curve hasse": st.tuples(st.just(["curve", "hasse"]), CURVES),
+                                  st.one_of(CURVES, HUGE_CURVES,
+                                            nested_text("curve invariants"))),
+    "curve hasse": st.tuples(st.just(["curve", "hasse"]),
+                             st.one_of(CURVES, nested_text("curve hasse"))),
     "curve fgl": st.builds(
         lambda n, c: (["curve", "fgl", "--precision", str(n)], c),
-        st.integers(-1, 8), CURVES),
+        st.integers(-1, 8), st.one_of(CURVES, nested_text("curve fgl"))),
     "modforms qexp": st.builds(
         lambda n, f: (["modforms", "qexp", "--precision", str(n)], f),
-        st.integers(-1, 12), st.one_of(FORMS, HUGE_FORMS)),
-    "landweber": st.tuples(st.just(["landweber", "--config"]), CONFIGS),
+        st.integers(-1, 12), st.one_of(FORMS, HUGE_FORMS,
+                                       nested_text("modforms qexp"))),
+    "landweber": st.tuples(st.just(["landweber", "--config"]),
+                           st.one_of(CONFIGS, nested_text("landweber"))),
 }
 
 
@@ -579,17 +682,9 @@ def test_fuzzed_payloads_exit_zero_or_two(command, data):
     """cli.main, in this process, on random JSON values in the fields of a
     real payload: exit 0 or 2, and no exception escapes."""
     argv, payload = data.draw(FUZZED[command])
-    text = json.dumps(payload)
+    text = payload if isinstance(payload, RawText) else json.dumps(payload)
     with contextlib.redirect_stderr(io.StringIO()):
-        if argv[0] == "landweber":
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "config.json")
-                with open(path, "w") as fh:
-                    fh.write(text)
-                code = cli.main(argv + [path], out=io.StringIO())
-        else:
-            with mock.patch.object(sys, "stdin", io.StringIO(text)):
-                code = cli.main(argv, out=io.StringIO())
+        code = run_text(argv, text)
     assert code in (0, 2)
 
 

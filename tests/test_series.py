@@ -131,6 +131,30 @@ class TestComposition:
         with pytest.raises(AlgebraError):
             f.compose(zt(5, {(0,): 1}))
 
+    def test_compose_rejects_a_multivariate_outer_series(self):
+        F = Series(ZZ, ("x", "y"), 5, {(1, 0): 1, (0, 1): 1})
+        t = Series.gen(ZZ, ("t",), 5, "t")
+        with pytest.raises(AlgebraError, match="compose requires a "
+                           "single-variable outer series"):
+            F.compose(t)
+
+    def test_compose_rejects_laurent_mode_without_negative_terms(self):
+        # subst alone would accept it: it has no negative exponent
+        f = Series(ZZ, ("q",), 5, {(1,): 1, (2,): 3}, lowest=-1)
+        t = Series.gen(ZZ, ("t",), 5, "t")
+        with pytest.raises(AlgebraError,
+                           match="cannot compose a Laurent series"):
+            f.compose(t)
+
+    @pytest.mark.parametrize("pf,pg", [(4, 7), (7, 4)])
+    def test_compose_with_a_zero_side_is_constant(self, pf, pg):
+        xy = ("x", "y")
+        f = zt(pf, {(0,): 5, (1,): 1, (3,): 2})
+        g = Series(ZZ, xy, pg, {(1, 0): 1, (1, 1): -2})
+        want = Series.constant(ZZ, xy, min(pf, pg), 5)
+        assert f.compose(Series.zero(ZZ, xy, pg)) == want
+        assert zt(pf, {}).compose(g) == Series.zero(ZZ, xy, min(pf, pg))
+
     def test_subst_two_variables(self):
         F = Series(ZZ, ("x", "y"), 5,
                    {(1, 0): 1, (0, 1): 1, (1, 1): 1})  # x + y + xy

@@ -13,6 +13,7 @@ from tmfkit.algebra import (
     QuadExtField, IntegersMod, LocalizedIntegers, PolynomialRing, Poly,
     poly_gcd,
 )
+from tmfkit import weierstrass
 from tmfkit.fgl import FormalGroupLaw
 from tmfkit.series import Series
 from tmfkit.weierstrass import (
@@ -227,6 +228,9 @@ F3 = PrimeField(3)
 # a ring and a random coefficient of it
 CURVE_RINGS = {
     "Q": (QQ, lambda r: Fraction(r.randint(-3, 3), r.choice([1, 2, 3]))),
+    # coprime denominators: the cleared solve for w divides by U = -D != -1
+    "Q big denominators": (QQ, lambda r: Fraction(
+        r.randint(-3, 3), r.choice([1, 7 ** 5, 11 ** 5]))),
     "Z": (ZZ, lambda r: r.randint(-3, 3)),
     "F2": (PrimeField(2), lambda r: r.randint(0, 1)),
     "F3": (F3, lambda r: r.randint(0, 2)),
@@ -286,6 +290,20 @@ class TestFormalGroupAgainstPlainConstruction:
         F = data["fgl"].F
         assert F == Series(F2, F.vars, 7, {(1, 0): 1, (0, 1): 1})
         assert data["eta"] == Series.one(F2, ("z",), 6)
+
+    def test_curve_equation_cross_check_fires(self, monkeypatch):
+        solve = weierstrass._solve_implicit
+
+        def one_coefficient_off(R, H, n):
+            w = solve(R, H, n)
+            w[(5,)] = R.add(w.get((5,), R.zero), R.one)
+            return w
+
+        monkeypatch.setattr(weierstrass, "_solve_implicit",
+                            one_coefficient_off)
+        with pytest.raises(InternalCheckError,
+                           match="w does not satisfy the curve equation"):
+            formal_group(qcurve(1, -2, 3, 4, -5), 6)
 
     def test_differential_cross_check_fires(self, monkeypatch):
         law_eta = FormalGroupLaw.invariant_differential
