@@ -81,12 +81,15 @@ class Ring:
     stated here; rings whose payloads need reducing override it."""
 
     kind = None
+    depth = 0   # levels of PolynomialRing nesting
 
-    # Rings whose payloads are Fractions (Q and its localizations) define
-    # to_cleared(cs) -> (ints, D), with c equal to from_cleared(i, D) for
-    # each c and its int i, and from_cleared(s, D), the payload of the
-    # integer s over D.  Series products then multiply and add plain ints
-    # and map each output coefficient back once.
+    # Rings whose payloads are Fractions or ints (Q, its localizations, Z,
+    # Z/m and F_p) define to_cleared(cs) -> (ints, D), with c equal to
+    # from_cleared(i, D) for each c and its int i, and from_cleared(s, D),
+    # the payload of the integer s over D.  The series kernels then multiply
+    # and add plain ints, reduced modulo characteristic() when that is not
+    # 0, and map each output coefficient back once.  Over Z and Z/m every D
+    # is 1 or a power of a unit, and from_cleared is the ring's own divide.
     to_cleared = None
 
     def __eq__(self, other):
@@ -162,6 +165,11 @@ class Integers(Ring):
         if r:
             raise NotDivisible("%r not divisible by %r in Z" % (a, b))
         return q
+
+    def to_cleared(self, cs):
+        return list(cs), 1
+
+    from_cleared = divide
 
     def __repr__(self):
         return "Z"
@@ -343,6 +351,9 @@ class IntegersMod(Ring):
         if self.is_unit(b):
             return self.mul(a, self.inv(b))
         raise NotDivisible("%d is a zero divisor mod %d" % (b, self.m))
+
+    to_cleared = Integers.to_cleared
+    from_cleared = divide
 
     def characteristic(self):
         return self.m
@@ -696,13 +707,23 @@ def minimal_polynomial(field, a):
     return Poly(Fp, [n[0], (-s[0]) % field.p, 1])
 
 
+# desk-scale cap on the nesting of polynomial rings: Poly arithmetic recurses
+# once per level, and each level multiplies the cost of a coefficient op
+RING_DEPTH_CAP = 3
+
+
 class PolynomialRing(Ring):
     """Polynomial ring over a base ring, as a coefficient ring in its own
-    right (payloads are Poly values)."""
+    right (payloads are Poly values).  The one constructor that nests rings,
+    so it checks RING_DEPTH_CAP."""
 
     kind = "PolynomialRing"
 
     def __init__(self, base, var="T"):
+        self.depth = base.depth + 1
+        if self.depth > RING_DEPTH_CAP:
+            raise AlgebraError("polynomial ring nesting exceeds the "
+                               "desk-scale cap %d" % RING_DEPTH_CAP)
         self.base = base
         self.var = var
         self.zero = Poly(base, [])

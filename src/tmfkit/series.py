@@ -18,18 +18,24 @@ a pair of total degree below n has every digit of its sum below n, and the
 keys add with no carry.
 A key's degree is key // n^(k-1), and keys sort by degree.  Multivariate
 terms of degree n or more are dropped before packing: at base n, (n, 0) and
-(0, n + 1) would share a key.  _product and subst share one pair loop,
-_pairs; inverse_unit runs its own degree recurrence.
+(0, n + 1) would share a key.  _pairs is the one loop that multiplies and
+adds coefficients; every kernel but _solve_implicit calls it.
 
-Over Q and its localizations (the rings with the to_cleared hook) the
-kernels carry int numerators over one common denominator and build one
-Fraction per output term (the layout of FLINT's fmpq_poly).  A product
+The rings with int or Fraction payloads (Z, Q, Z/m, F_p and the localized
+integers: the rings with the to_cleared hook) run the kernels on plain
+ints; only F_{p^2} and F_p[T] keep ring arithmetic.  Over Q and its
+localizations the ints are numerators over one common denominator, with one
+Fraction built per output term (the layout of FLINT's fmpq_poly).  A product
 clears each factor once; subst clears its operands once and keeps the
 Horner accumulator cleared for the whole call, its denominator the product
 of the factors' and the lcm with each added term's (see subst).  Every step
 is exact integer arithmetic on the numerators of one rational series, and a
 Fraction is canonical, so each result is the one ring arithmetic gives step
-by step.
+by step.  Over Z and Z/m each denominator is 1 or a power of a unit, and
+from_cleared is the ring's divide.  Over Z/m and F_p the ints are reduced
+mod m once per Horner step, memoized monomial, _solve_implicit dot product
+and inverse_unit degree, and by from_cleared once per output term: the
+delayed reduction of Monagan & Pearce's sdmp.
 
 Substitution has one precision rule: compose and subst return precision
 n = min of the precisions of the outer series and of the values, and claim
@@ -52,7 +58,7 @@ with one from_cleared per output term.
 from bisect import bisect_right
 from functools import reduce
 from math import inf, lcm
-from operator import add, itemgetter, mul, not_
+from operator import itemgetter, mul
 
 from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
                       monomial_str, power)
@@ -83,23 +89,16 @@ def _packing(k, n):
     return pack, unpack, n * n
 
 
-def _arith(R):
-    """(plus, times, is_zero) on the coefficients the kernels carry: plain
-    ints on rings with the to_cleared hook, R's payloads on the others."""
-    if R.to_cleared is None:
-        return R.add, R.mul, R.is_zero
-    return add, mul, not_
-
-
 def _lift(R, terms, pack, cut):
-    """The terms of total degree below cut, packed and cleared: ({key: c},
-    D) with each payload equal to c over D on rings with the to_cleared
-    hook, and ({key: payload}, 1) on the others."""
+    """The terms of total degree below cut, packed and cleared, as (pairs,
+    D): the (key, c) pairs sorted by key, each payload equal to c over D on
+    rings with the to_cleared hook, and the payloads themselves with D = 1
+    on the others."""
     kept = {pack(e): c for e, c in terms.items() if sum(e) < cut}
     if R.to_cleared is None:
-        return kept, 1
+        return sorted(kept.items()), 1
     cs, D = R.to_cleared(list(kept.values()))
-    return dict(zip(kept, cs)), D
+    return sorted(zip(kept, cs)), D
 
 
 def _lower(R, acc, D, unpack):
@@ -111,20 +110,28 @@ def _lower(R, acc, D, unpack):
     return {unpack(k): back(c, D) for k, c in acc.items() if c}
 
 
-def _pairs(R, t1, f2, n, s):
-    """The packed pair loop: the terms below degree n of the product of t1,
-    a dict {key: c}, and f2, a list of (key, c) sorted by key, with the keys
-    of _packing (degree key // s) at a base of n or more.  A pair has
-    degree below n exactly when its f2 key is below (n - deg) * s, deg the
-    degree of its t1 key; f2 is sorted, so the loop breaks at the first
-    partner past that bound.  Every kept pair has degree below n, so every
-    digit of its key sum is below n and the sum, with no carry, is the key
-    of the product monomial.  Zero coefficients may be left in."""
-    out = {}
+def _reduce(R, acc):
+    """A packed accumulator with each int reduced mod R.characteristic() on
+    the int path over Z/m and F_p; acc itself on every other ring (Z, Q and
+    Z_(p) have characteristic 0, and ring payloads are reduced already)."""
+    p = R.to_cleared and R.characteristic()
+    return {k: c % p for k, c in acc.items()} if p else acc
+
+
+def _pairs(R, out, t1, f2, n, s):
+    """The packed pair loop: adds into the dict out, and returns it, the
+    terms below degree n of the product of t1 and f2, iterables of (key, c)
+    with the keys of _packing (degree key // s) at a base of n or more, f2
+    sorted by key.  A pair has degree below n exactly when its f2 key is
+    below (n - deg) * s, deg the degree of its t1 key; f2 is sorted, so the
+    loop breaks at the first partner past that bound.  Every kept pair has
+    degree below n, so every digit of its key sum is below n and the sum,
+    with no carry, is the key of the product monomial.  Zero coefficients
+    may be left in, and on the int path the sums are left unreduced."""
     if R.to_cleared is not None:
         # plain ints: the operators inline
         get = out.get
-        for k1, c1 in t1.items():
+        for k1, c1 in t1:
             lim = (n - k1 // s) * s
             for k2, c2 in f2:
                 if k2 >= lim:
@@ -133,7 +140,7 @@ def _pairs(R, t1, f2, n, s):
                 out[k] = get(k, 0) + c1 * c2
         return out
     plus, times = R.add, R.mul
-    for k1, c1 in t1.items():
+    for k1, c1 in t1:
         lim = (n - k1 // s) * s
         for k2, c2 in f2:
             if k2 >= lim:
@@ -154,11 +161,11 @@ def _product(R, t1, t2, n):
     The pairs run through _pairs, and the int-keyed result is decoded back
     to tuples once per output term.
 
-    When R has the to_cleared hook (Q and the localized integers), each
-    factor is cleared once, c = a / D with D the lcm of its denominators,
-    and the pairs are convolved in plain ints: the coefficient of e is
-    (sum a1 * a2) / (D1 * D2), mapped back by one from_cleared per output
-    term.  Other rings use R.add and R.mul."""
+    When R has the to_cleared hook, each factor is cleared once, c = a / D
+    with D the lcm of its denominators (1 over Z and Z/m), and the pairs
+    are convolved in plain ints: the coefficient of e is
+    (sum a1 * a2) / (D1 * D2), mapped back (and over Z/m reduced) by one
+    from_cleared per output term.  Other rings use R.add and R.mul."""
     if not t1 or not t2:
         return {}
     k = len(next(iter(t1)))
@@ -166,8 +173,7 @@ def _product(R, t1, t2, n):
     cut = n if k > 1 else inf
     a, D1 = _lift(R, t1, pack, cut)
     b, D2 = _lift(R, t2, pack, cut)
-    b = sorted(b.items(), key=itemgetter(0))
-    return _lower(R, _pairs(R, a, b, n, s), D1 * D2, unpack)
+    return _lower(R, _pairs(R, {}, a, b, n, s), D1 * D2, unpack)
 
 
 def _solve_implicit(R, H, n):
@@ -184,13 +190,14 @@ def _solve_implicit(R, H, n):
     y_k = -h_01^-1 * (that sum).  Every step is exact in any commutative
     ring.
 
-    On rings with the to_cleared hook (Q and its localizations) the solve
-    runs on plain ints, with one from_cleared per output term.  With A_ab
-    the numerators of H over a common denominator and U = A_01, the
-    integers Y_k = U^(2k-1) y_k and Q_(b,m) = U^(2m-b) P_b[m] satisfy
+    On rings with the to_cleared hook the solve runs on plain ints, with
+    one from_cleared per output term.  With A_ab the numerators of H over a
+    common denominator and U = A_01, the integers Y_k = U^(2k-1) y_k and
+    Q_(b,m) = U^(2m-b) P_b[m] satisfy
     Y_k = -sum A_ab U^(2a+b-2) Q_(b,k-a) and
     Q_(b,m) = sum_i Y_i Q_(b-1,m-i); the exponent 2a + b - 2 is never
-    negative, as (a, b) is neither (0, 0) nor (0, 1)."""
+    negative, as (a, b) is neither (0, 0) nor (0, 1).  Over Z/m and F_p
+    each dot product is reduced mod the characteristic."""
     keys = sorted((e for e in H if sum(e) and e != (0, 1)), key=sum)
     # cs holds the factors -h_ab / h_01 (-A_ab U^(2a+b-2) on plain ints)
     if R.to_cleared is None:
@@ -204,10 +211,12 @@ def _solve_implicit(R, H, n):
         A = dict(zip(H, R.to_cleared(list(H.values()))[0]))
         U = A[0, 1]
         zero, one = 0, 1
+        p = R.characteristic()
         cs = [-A[a, b] * U ** (2 * a + b - 2) for a, b in keys]
 
         def dot(xs, ys):
-            return sum(map(mul, xs, ys))
+            x = sum(map(mul, xs, ys))
+            return x % p if p else x
     degs = [sum(e) for e in keys]
     top = max([b for _, b in keys] + [1])
     # P[b][m] = [t^m] y^b; P[1] is y itself
@@ -451,7 +460,8 @@ class Series:
         below b = n - a * v are formed, and the steps with a * v >= n are
         skipped.  Each f_a(P1, ...) is a linear combination of monomials in
         P1, ..., memoized below degree n and each built from a smaller one
-        by one product.
+        by one product.  Every product, and every added term c * m (c at
+        key 0, so _pairs keeps the terms of m below b), runs through _pairs.
 
         The accumulator, packed by _packing at base n, stays cleared for the
         whole call: int numerators over one denominator D.  P0 is lifted
@@ -460,7 +470,9 @@ class Series:
         lcm.  Every step is exact rational arithmetic on numerators over a
         common denominator, so the one from_cleared per output term at the
         end gives the payloads of ring arithmetic step by step (a Fraction
-        is canonical).  Rings without the to_cleared hook keep ring
+        is canonical).  Over Z and Z/m every denominator is 1, and over Z/m
+        the accumulator is reduced mod m after each step and each monomial
+        once it is built.  Rings without the to_cleared hook keep ring
         arithmetic with every denominator 1."""
         if len(values) != len(self.vars):
             raise AlgebraError("need one series per variable")
@@ -476,11 +488,7 @@ class Series:
             raise AlgebraError("cannot substitute into a Laurent series")
         n = min([self.precision] + [P.precision for P in values])
         pack, unpack, s = _packing(len(tgt.vars), n)
-        plus, times, is_zero = _arith(R)
-        rest = []
-        for P in values[1:]:
-            t, D = _lift(R, P.terms, pack, n)
-            rest.append((sorted(t.items(), key=itemgetter(0)), D))
+        rest = [_lift(R, P.terms, pack, n) for P in values[1:]]
         mono = {(0,) * len(rest): _lift(R, {(0,) * len(tgt.vars): R.one},
                                         pack, n)}
 
@@ -493,8 +501,7 @@ class Series:
             m, D = mono[e]
             for e, j in reversed(chain):
                 t, Dj = rest[j]
-                m = {x: c for x, c in _pairs(R, m, t, n, s).items()
-                     if not is_zero(c)}
+                m = sorted(_reduce(R, _pairs(R, {}, m, t, n, s)).items())
                 D *= Dj
                 mono[e] = m, D
             return m, D
@@ -504,29 +511,26 @@ class Series:
         # Dc = Df * Dm; the terms with a * v >= n cannot reach the result
         f, Df = _lift(R, self.terms, tuple, n)
         parts = {}
-        for e, c in f.items():
+        for e, c in f:
             if e[0] * v < n:
                 m, Dm = monomial(e[1:])
                 parts.setdefault(e[0], []).append((c, m, Df * Dm))
         G, D0 = _lift(R, tgt.terms, pack, n)
-        G = sorted(G.items(), key=itemgetter(0))
         acc, D = {}, 1
         for a in range(max(parts, default=0), -1, -1):
             b = n - a * v
-            acc, D = (_pairs(R, acc, G, b, s), D * D0) if acc else ({}, 1)
+            acc, D = ((_pairs(R, {}, acc.items(), G, b, s), D * D0) if acc
+                      else ({}, 1))
             terms = parts.get(a, ())
             L = lcm(D, *[Dc for _, _, Dc in terms])
             if L != D:
                 acc = {k: c * (L // D) for k, c in acc.items()}
-            lim = b * s
             for c, m, Dc in terms:
                 if L != Dc:
                     c = c * (L // Dc)
-                for k, t in m.items():
-                    if k < lim:
-                        p = times(c, t)
-                        acc[k] = plus(acc[k], p) if k in acc else p
-            D = L
+                # c has key 0, so _pairs keeps the terms of m below degree b
+                _pairs(R, acc, [(0, c)], m, b, s)
+            acc, D = _reduce(R, acc), L
         return Series(R, tgt.vars, n, _lower(R, acc, D, unpack))
 
     def rename(self, new_vars, mapping=None):
@@ -550,11 +554,14 @@ class Series:
     def inverse_unit(self):
         """1/f when the constant term c0 is a unit, degree by degree: with
         f_j the homogeneous part of degree j, q_0 = 1/c0 and
-        q_d = -(1/c0) * sum_{j=1..d} f_j q_{d-j}, which holds in any
-        commutative ring.  The result has the precision of f.  Laurent input
-        is rejected; divide_exact handles that case by shifting.  On rings
-        with the to_cleared hook the recurrence runs on cleared ints, with
-        one from_cleared per output term."""
+        q_d = sum_{j=1..d} (-(1/c0) f_j) q_{d-j}, which holds in any
+        commutative ring.  Once q_(d-1) is known, one _pairs call adds its
+        products with every -(1/c0) f_j into a running sum of the degrees
+        above, whose degree-d part is then complete: q_d.  The result has
+        the precision of f.  Laurent input is rejected; divide_exact
+        handles that case by shifting.  On rings with the to_cleared hook
+        the recurrence runs on cleared ints, reduced mod m once per degree
+        over Z/m and F_p, with one from_cleared per output term."""
         R = self.ring
         if any(sum(e) < 0 for e in self.terms):
             raise AlgebraError("inverse_unit needs a power series")
@@ -565,36 +572,24 @@ class Series:
         # every degree is below n and no exponent is negative: the keys
         # add without carry
         pack, unpack, s = _packing(len(self.vars), n)
-        plus, times, is_zero = _arith(R)
         t, D = _lift(R, self.terms, pack, n)
         if R.to_cleared is None:
-            q0 = R.inv(c0)
+            u, q0 = 1, R.inv(c0)
             m = R.neg(q0)
+            f = {k: R.mul(m, c) for k, c in t if k}
         else:
             # f = F / D with F_0 = u: q_d = Q_d / u^(d+1), where Q_0 = D and
-            # Q_d = -sum_j (F_j * u^(j-1)) Q_{d-j}, all plain ints
-            u, q0, m = t[0], D, -1
-            t = {k: c * u ** (k // s - 1) if k else c for k, c in t.items()}
-        f = [[] for _ in range(n)]
-        for k, c in t.items():
-            f[k // s].append((k, c))
-        q = [{0: q0}]
-        for d in range(1, n):
-            acc = {}
-            for j in range(1, d + 1):
-                for k1, c1 in f[j]:
-                    for k2, c2 in q[d - j].items():
-                        k = k1 + k2
-                        p = times(c1, c2)
-                        acc[k] = plus(acc[k], p) if k in acc else p
-            q.append({k: times(m, c) for k, c in acc.items()
-                      if not is_zero(c)})
-        if R.to_cleared is None:
-            out = {unpack(k): c for qd in q for k, c in qd.items()}
-        else:
-            out = {}
-            for d, qd in enumerate(q):
-                out.update(_lower(R, qd, u ** (d + 1), unpack))
+            # Q_d = sum_j (-F_j * u^(j-1)) Q_{d-j}, all plain ints
+            u, q0 = t[0][1], D
+            f = {k: -c * u ** (k // s - 1) for k, c in t if k}
+        f = sorted(_reduce(R, f).items())
+        out, acc, qd = {}, {}, {0: q0}
+        for d in range(1, n + 1):
+            # qd is q_(d-1), over u^d; its products complete degree d
+            out.update(_lower(R, qd, u ** d, unpack))
+            _pairs(R, acc, qd.items(), f, n, s)
+            done = [k for k in acc if k < (d + 1) * s]
+            qd = _reduce(R, {k: acc.pop(k) for k in done})
         return Series(R, self.vars, n, out)
 
     def divide_exact(self, g, allow_laurent=False):

@@ -14,7 +14,7 @@ from tmfkit.algebra import (
     ZZ, QQ, IntegersMod, PrimeField, LocalizedIntegers, QuadExtField,
     Poly, PolynomialRing, ring_from_json, is_prime, poly_gcd,
     smith_normal_form, in_column_span, integer_kernel, power, monomial_str,
-    SMITH_BITS_CAP, _quad_irreducible,
+    RING_DEPTH_CAP, SMITH_BITS_CAP, _quad_irreducible,
 )
 from tmfkit.chart import k1_tmf_p2
 
@@ -242,6 +242,15 @@ class TestPoly:
         R = PolynomialRing(PrimeField(3))
         a = Poly.from_ints(PrimeField(3), [1, 1])
         assert R.mul(a, a).coeffs == (1, 2, 1)
+
+    def test_polynomial_ring_nesting_cap(self):
+        R = PrimeField(3)
+        for depth in range(1, RING_DEPTH_CAP + 1):
+            R = PolynomialRing(R)
+            assert R.depth == depth
+        with pytest.raises(AlgebraError, match="desk-scale cap %d"
+                           % RING_DEPTH_CAP):
+            PolynomialRing(R)
 
 
 def test_power_multiplies_only_what_it_reads():

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmfkit import cli
-from tmfkit.algebra import InternalCheckError, SMITH_BITS_CAP, ring_from_json
+from tmfkit.algebra import (InternalCheckError, RING_DEPTH_CAP,
+                            SMITH_BITS_CAP, ring_from_json)
 from tmfkit.series import Series
 
 
@@ -346,6 +347,60 @@ class TestDeepNesting:
         assert run_text(argv, payload % nested_ring(depth)) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def nested_coeff(value, depth):
+    """A coefficient of the ring of nested_ring(depth): value, listed depth
+    times."""
+    return json.loads("[" * depth + str(value) + "]" * depth)
+
+
+def nested_curve_payloads(depth):
+    """(argv, text) for curve invariants, curve hasse and landweber over the
+    ring of nested_ring(depth); the curve y^2 = x^3 + x + 1 is smooth over
+    F_3, and its coefficients are nested to match the ring."""
+    ring = json.loads(nested_ring(depth))
+    curve = json.dumps({"ring": ring, "a": [nested_coeff(v, depth)
+                                            for v in (0, 0, 0, 1, 1)]})
+    law = json.dumps({"p": 3, "law": "multiplicative", "ring": ring,
+                      "n_max": 1})
+    return [(["curve", "invariants"], curve), (["curve", "hasse"], curve),
+            (["landweber", "--config"], law)]
+
+
+class TestRingDepthCap:
+    """A ring descriptor that nests PolynomialRing past RING_DEPTH_CAP is an
+    input error at once; at the cap every command still gives its answer."""
+
+    def test_curve_nested_400_deep_exits_two(self, capsys):
+        argv, text = nested_curve_payloads(400)[0]
+        start = time.monotonic()
+        assert run_text(argv, text) == 2
+        assert time.monotonic() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("i", range(3),
+                             ids=["invariants", "hasse", "landweber"])
+    def test_one_past_the_cap_names_it(self, i, capsys):
+        argv, text = nested_curve_payloads(RING_DEPTH_CAP + 1)[i]
+        start = time.monotonic()
+        assert run_text(argv, text) == 2
+        assert time.monotonic() - start < 5
+        assert "exceeds the desk-scale cap %d" % RING_DEPTH_CAP in \
+            capsys.readouterr().err
+
+    def test_at_the_cap_every_command_answers(self, capsys):
+        (inv, curve), (hasse, _), (lw, law) = \
+            nested_curve_payloads(RING_DEPTH_CAP)
+        assert run_text(inv, curve) == 0
+        assert run_text(hasse, curve) == 0
+        capsys.readouterr()
+        # landweber's own verdict on a polynomial ring, not the cap
+        assert run_text(lw, law) == 2
+        err = capsys.readouterr().err
+        assert "law must have scalar coefficients" in err
+        assert "desk-scale cap" not in err
 
 
 class TestDeskScaleCaps:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tmfkit import algebra
-from tmfkit.algebra import PRIMALITY_CAP, SMITH_BITS_CAP
+from tmfkit.algebra import PRIMALITY_CAP, RING_DEPTH_CAP, SMITH_BITS_CAP
 from tmfkit.fgl import LAW_PRECISION_CAP
 from tmfkit.modforms import QEXP_PRECISION_CAP, WEIGHT_CAP
 from tmfkit.weierstrass import CURVE_PRECISION_CAP, SS_PRIME_CAP
@@ -114,6 +114,7 @@ def test_no_unreferenced_ring_methods():
     (LAW_PRECISION_CAP, "landweber_regularity"),
     (LAW_PRECISION_CAP + 2, "_cmd_landweber"),
     (SMITH_BITS_CAP, "smith_normal_form"),
+    (RING_DEPTH_CAP, "PolynomialRing"),
 ], ids=str)
 def test_readme_lists_every_input_cap(cap, entry_point):
     """A row of the caps table (input | cap | entry point) gives the cap's

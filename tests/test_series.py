@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmfkit import series
 from tmfkit.algebra import (
     AlgebraError, NotDivisible, ZZ, QQ, PrimeField, IntegersMod,
-    LocalizedIntegers, QuadExtField,
+    LocalizedIntegers, QuadExtField, Poly, PolynomialRing,
 )
 from tmfkit.series import Series, _product
 from tmfkit.fgl import FormalGroupLaw, honda_fgl
@@ -373,6 +374,9 @@ def random_coeff(rng, R):
         return rng.randint(-5, 5)
     if isinstance(R, QuadExtField):
         return (rng.randrange(R.p), rng.randrange(R.p))
+    if isinstance(R, PolynomialRing):
+        return Poly(R.base, [random_coeff(rng, R.base)
+                             for _ in range(rng.randint(0, 2))])
     # Z_(p): denominators prime to p; Z[1/2]: powers of 2
     den = (rng.choice([1, 2, 4, 5, 7]) if R.at is not None
            else 2 ** rng.randint(0, 3))
@@ -393,22 +397,31 @@ def some_units(R):
     if R == QQ:
         return [Fraction(1), Fraction(2, 3), Fraction(-7, 5)]
     if isinstance(R, IntegersMod):
-        return [u for u in range(1, R.m) if R.is_unit(u)]
+        # every unit below 16, and past that a few large ones: a modulus
+        # near 2^61 has too many units to list
+        units = [u for u in range(1, min(R.m, 16)) if R.is_unit(u)]
+        return units + [u for u in (R.m // 3, R.m - 2, R.m - 1)
+                        if R.m > 16 and R.is_unit(u)]
     if R == ZZ:
         return [1, -1]
     if isinstance(R, QuadExtField):
         return [(1, 0), (2, 1), (0, 2)]
+    if isinstance(R, PolynomialRing):
+        return [R.from_int(1), R.from_int(-1)]
     if R.at is not None:
         return [Fraction(1), Fraction(-5, 7), Fraction(2, 5)]
     return [Fraction(1), Fraction(-1, 2), Fraction(4)]
 
 
-# both paths of _product: the to_cleared hook (Q and its localizations) and
-# ring arithmetic (Z, Z/m, F_p and F_p^2)
-RINGS = [QQ, PrimeField(5), PrimeField(7), IntegersMod(4), IntegersMod(6),
-         IntegersMod(8), IntegersMod(9), IntegersMod(12), ZZ,
-         LocalizedIntegers(at=3), LocalizedIntegers(inverted=(2,)),
-         QuadExtField(3)]
+# both paths of the kernels: plain ints on rings with the to_cleared hook
+# (Q and its localizations over a common denominator; Z; Z/m and F_p reduced
+# mod m, two moduli past a machine word) and ring arithmetic (F_p^2, F_p[T])
+RINGS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7),
+         PrimeField(13), IntegersMod(4), IntegersMod(6), IntegersMod(8),
+         IntegersMod(9), IntegersMod(12), IntegersMod(2 ** 61 - 1),
+         IntegersMod(2 ** 64 + 13), ZZ, LocalizedIntegers(at=3),
+         LocalizedIntegers(inverted=(2,)), QuadExtField(3),
+         PolynomialRing(PrimeField(3))]
 
 
 def extend(rng, s, extra):
@@ -474,7 +487,8 @@ HONDA = {2: [(1, 7), (2, 9)], 3: [(1, 8), (2, 11)], 5: [(1, 9)]}
 
 
 @pytest.mark.parametrize("R", [ZZ, QQ, PrimeField(2), PrimeField(3),
-                               PrimeField(5), IntegersMod(12)], ids=repr)
+                               PrimeField(5), PrimeField(13), IntegersMod(12),
+                               IntegersMod(2 ** 61 - 1)], ids=repr)
 def test_formal_inverse_matches_plain_loop(R):
     laws = [make(R, N) for N in (4, 7, 10) for make in
             (FormalGroupLaw.multiplicative, FormalGroupLaw.additive)]
@@ -561,7 +575,7 @@ def test_inverse_unit_matches_geometric_series(R):
         got, want = f.inverse_unit(), plain_inverse_unit(f)
         assert (got.terms, got.precision) == (want.terms, want.precision), f
         other += c0 != R.one
-    assert other >= 10
+    assert other >= 10 or units == [R.one]   # F_2 has no other unit
 
 
 @pytest.mark.parametrize("R,c0", [(QQ, Fraction(2, 3)), (IntegersMod(6), 5)],
@@ -644,25 +658,76 @@ def test_cleared_inverse_unit_with_large_denominators(R):
         assert (got.terms, got.precision) == (want.terms, want.precision), f
 
 
-def test_cleared_kernels_map_back_once_per_output_term(monkeypatch):
-    """Over Q the kernels carry int numerators and build one Fraction per
-    output term, however many products and additions made it."""
+@pytest.mark.parametrize("R", [QQ, PrimeField(13), ZZ], ids=repr)
+def test_cleared_kernels_map_back_once_per_output_term(R, monkeypatch):
+    """The kernels carry int numerators and call from_cleared once per
+    output term, however many products and additions made it: over Q it
+    builds one Fraction, over Z and F_13 it is the ring's divide."""
     calls = []
-    back = QQ.from_cleared
-    monkeypatch.setattr(QQ, "from_cleared",
+    back = R.from_cleared
+    monkeypatch.setattr(R, "from_cleared",
                         lambda s, d: calls.append(1) or back(s, d))
     rng = random.Random("count")
+
+    def some(vars, precision, low, den):
+        if R == QQ:
+            return big_series(rng, R, vars, precision, low, den)
+        return random_series(rng, R, vars, precision, low)
     for vars in VARS:
-        g = big_series(rng, QQ, vars, 7, 1, 7 ** 20)
-        f = big_series(rng, QQ, ("t",), 7, 0, 11 ** 20)
-        outer = big_series(rng, QQ, vars, 6, 0, 11 ** 20)
-        values = [big_series(rng, QQ, vars, 6, 1, 7 ** 20) for _ in vars]
-        unit = g + Series.one(QQ, vars, g.precision)
+        g = some(vars, 7, 1, 7 ** 20)
+        f = some(("t",), 7, 0, 11 ** 20)
+        outer = some(vars, 6, 0, 11 ** 20)
+        values = [some(vars, 6, 1, 7 ** 20) for _ in vars]
+        unit = g + Series.one(R, vars, g.precision)
         for run in (lambda: f.compose(g), lambda: outer.subst(values),
                     unit.inverse_unit):
             calls.clear()
             got = run()
             assert 0 < len(calls) <= len(got.terms), (vars, run)
+
+
+def test_int_path_reduces_once_per_step(monkeypatch):
+    """Over Z/m the kernels reduce their int sums mod m once per Horner
+    step, memoized monomial, solver dot product and inverse_unit degree.
+    So every coefficient that enters the pair loop is a residue, and every
+    numerator from_cleared receives is a sum of products of two residues:
+    at most 2 * 61 + 32 bits for m = 2^61 - 1.  A skipped reduction would
+    grow like m^N and still give the right answers."""
+    R = IntegersMod(2 ** 61 - 1)
+    bits, entering = [], []
+    back, pairs = R.from_cleared, series._pairs
+
+    def spy_back(s, d):
+        bits.append(s.bit_length())
+        return back(s, d)
+
+    def spy_pairs(R, out, t1, f2, n, s):
+        entering.extend(c for _, c in t1)
+        entering.extend(c for _, c in f2)
+        return pairs(R, out, t1, f2, n, s)
+    monkeypatch.setattr(R, "from_cleared", spy_back)
+    monkeypatch.setattr(series, "_pairs", spy_pairs)
+    rng = random.Random("reduce")
+    curve = WeierstrassCurve.from_ints(R, 1, -1, 1, 0, 2)
+    runs = [lambda: formal_group(curve, 14)["fgl"].formal_inverse()]
+    for vars in VARS:
+        g = random_series(rng, R, vars, 12 - 2 * len(vars), 1)
+        f = random_series(rng, R, ("t",), 12, 0)
+        outer = random_series(rng, R, vars, 10 - 2 * len(vars), 0)
+        values = [random_series(rng, R, vars, 10 - 2 * len(vars), 1)
+                  for _ in vars]
+        unit = g + Series.constant(R, vars, g.precision, R.m - 2)
+        runs += [lambda f=f, g=g: f.compose(g),
+                 lambda o=outer, v=values: o.subst(v), unit.inverse_unit]
+    for a1 in (1, R.m - 1, R.m // 3):
+        f = random_series(rng, R, ("t",), 16, 2)
+        runs.append((f + Series(R, ("t",), 16, {(1,): a1})).reverse)
+    for run in runs:
+        bits.clear()
+        got = run()
+        assert got.terms and bits, run
+        assert max(bits) <= 2 * 61 + 32, (run, max(bits))
+    assert entering and all(0 <= c < R.m for c in entering)
 
 
 # -- the product kernel against all pairs ------------------------------------
