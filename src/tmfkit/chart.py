@@ -637,15 +637,14 @@ def _tmf3_label(wrapped):
     return base if wrapped["part"] == "tensor" else "Tor(%s)" % base
 
 
-def tmf_mod_p_pi(n, p=3):
-    """pi_n of the mod-p theory via the cofiber splitting
-    (pi_n tensor Z/p) + Tor(pi_(n-1), Z/p); only p = 3 is in scope."""
-    if p != 3:
-        raise AlgebraError("the chart engine is 3-local; only p = 3")
+def tmf_mod_p_pi(n):
+    """pi_n of the mod-3 theory via the cofiber splitting
+    (pi_n tensor Z/3) + Tor(pi_(n-1), Z/3); the chart engine is 3-local,
+    so the report's "p" is always 3."""
     gens = _tmf3_gens(n)
     rank = len(gens)
     return {
-        "degree": n, "p": p,
+        "degree": n, "p": 3,
         "group": "0" if rank == 0 else
                  ("Z/3" if rank == 1 else "(Z/3)^%d" % rank),
         "rank": rank,
@@ -684,11 +683,9 @@ def _pair(g, h):
     return 1 if ten["degree"] + tor["degree"] == -22 else 0
 
 
-def duality_check(k, p=3):
+def duality_check(k):
     """Verify that the pairing pi_k(tmf/3) x pi_(-k-21)(tmf/3) -> F_3 is
     perfect; reports the matrix in the generator bases."""
-    if p != 3:
-        raise AlgebraError("the chart engine is 3-local; only p = 3")
     left = _tmf3_gens(k)
     right = _tmf3_gens(-k - 21)
     matrix = [[_pair(g, h) for h in right] for g in left]
@@ -967,13 +964,11 @@ def audit_derivations():
     return True
 
 
-def audit_degree_bookkeeping(chart=None):
-    """Every stored class sits at (s, t) with 2t - s equal to its label
-    degree (alpha: 3, beta: 10, Delta: 24, c4: 8, c6: 12, duals: -2k-21).
-    Without a chart, audits the one of the default window."""
-    if chart is None:
-        chart = descent_ss()
-    for page in chart.pages:
+def audit_degree_bookkeeping():
+    """Every class stored in the chart of the default window sits at (s, t)
+    with 2t - s equal to its label degree (alpha: 3, beta: 10, Delta: 24,
+    c4: 8, c6: 12, duals: -2k-21)."""
+    for page in descent_ss().pages:
         for (s, t), ent in page.groups.entries.items():
             n = 2 * t - s
             for (kind, mon, _scale) in ent.free:

@@ -14,7 +14,8 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraError, InternalCheckError, ring_from_json
+from .algebra import (AlgebraError, InternalCheckError, is_prime,
+                      ring_from_json)
 from .series import Series
 from . import chart as chart_mod
 from . import fgl as fgl_mod
@@ -209,10 +210,11 @@ def _law_from_config(cfg, precision):
         return fgl_mod.FormalGroupLaw.additive(ring or ZZ, precision)
     if isinstance(law, dict) and "honda" in law:
         params = law["honda"]
-        return fgl_mod.honda_fgl(
-            _decode("honda law", int, _require(params, "p", "honda law")),
-            _decode("honda law", int, _require(params, "n", "honda law")),
-            precision)
+        p = _decode("honda law", int, _require(params, "p", "honda law"))
+        n = _decode("honda law", int, _require(params, "n", "honda law"))
+        if is_prime(p) and n >= 1:   # else honda_fgl names the bad one
+            precision = max(precision, fgl_mod.law_precision(p, n) + 2)
+        return fgl_mod.honda_fgl(p, n, precision)
     if isinstance(law, dict) and "F" in law:
         F = _decode("series JSON", Series.from_json, law["F"], ring)
         return fgl_mod.FormalGroupLaw.validate(F)
@@ -227,13 +229,8 @@ def _cmd_landweber(args, out):
     p = _decode(where, int, _require(cfg, "p", where))
     n_max = _decode(where, int, cfg.get("n_max", 2))
     degree_bound = _decode(where, int, cfg.get("degree_bound", 4))
-    need = fgl_mod.law_precision(p, n_max)
-    precision = _decode(where, int, cfg.get("precision", need + 2))
-    cap = fgl_mod.LAW_PRECISION_CAP + 2   # the largest default precision
-    if precision > cap:
-        raise CLIInputError("precision %d exceeds the desk-scale cap %d"
-                            % (precision, cap))
-    law = _law_from_config(cfg, precision)
+    # the check reads [p](t) up to t^(p^n_max), so this precision suffices
+    law = _law_from_config(cfg, fgl_mod.law_precision(p, n_max) + 2)
     if "presentation" in cfg:
         pres = _decode("presentation", _presentation_from_config,
                        cfg["presentation"])

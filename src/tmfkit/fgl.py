@@ -4,18 +4,32 @@ height-n laws built from explicit logarithms, and the regular-sequence
 (Landweber) check on graded presentations."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
                       ZZ, QQ, PrimeField, IntegersMod, is_prime,
                       smith_normal_form, integer_kernel, in_column_span,
-                      abelian_group_structure, monomial_str)
+                      monomial_str)
 from .series import Series, _solve_implicit
 
 
-# desk-scale cap on p^n, the precision a law needs to show v_n: Honda laws
-# take about 0.6 s at p^n = 127 and 3.7 s at 251 (Python 3.11, 2 CPUs)
+# desk-scale cap on p^n, the precision a law needs to show v_n: on p^n_max
+# for a Landweber check, and on a Honda law's own p^n.  Honda laws take about
+# 0.6 s at p^n = 127 and 3.7 s at 251, but a Honda law of small p^n built
+# for a check of large p^n_max pays for the check's precision: its
+# associativity certificate grows like N^5, so Honda (2, 1) for n_max 7 at
+# p = 2 (precision 130) takes about 576 s, and validate takes 1.9 s on
+# Honda (3, 1) and 5.9 s on Honda (2, 1) at precision 60 (Python 3.11, 2 CPUs)
 LAW_PRECISION_CAP = 128
+
+# desk-scale caps on a Landweber check: its degree bound, and the steps that
+# _landweber_work estimates for it.  At the work cap the slowest
+# presentations tried (free generators, one generator under hundreds of
+# relations, hundreds of constant relations) take 1-2 s, within a budget of
+# 5 s a call (Python 3.11, 2 CPUs)
+LANDWEBER_DEGREE_CAP = 1000
+LANDWEBER_WORK_CAP = 4 * 10 ** 7
 
 
 class FGLInvalid(AlgebraError):
@@ -97,14 +111,16 @@ class FormalGroupLaw:
         return FormalGroupLaw(F, _certified=True)
 
     @staticmethod
-    def additive(ring, precision, vars=("x", "y")):
-        F = Series(ring, vars, precision,
+    def additive(ring, precision):
+        """x + y over ring, in the variables x, y."""
+        F = Series(ring, ("x", "y"), precision,
                    {(1, 0): ring.one, (0, 1): ring.one})
         return FormalGroupLaw.validate(F)
 
     @staticmethod
-    def multiplicative(ring, precision, vars=("x", "y")):
-        F = Series(ring, vars, precision,
+    def multiplicative(ring, precision):
+        """x + y + xy over ring, in the variables x, y."""
+        F = Series(ring, ("x", "y"), precision,
                    {(1, 0): ring.one, (0, 1): ring.one, (1, 1): ring.one})
         return FormalGroupLaw.validate(F)
 
@@ -327,20 +343,13 @@ class GradedRingPresentation:
         return sum(e * self.gens[i][1] for i, e in enumerate(mon))
 
     def monomials(self, degree):
-        """Exponent tuples of the given total (weighted) degree."""
-        out = []
-
-        def rec(i, remaining, acc):
-            if i == len(self.gens):
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            d = self.gens[i][1]
-            for e in range(remaining // d + 1):
-                rec(i + 1, remaining - e * d, acc + [e])
-
-        rec(0, degree, [])
-        return sorted(out)
+        """Exponent tuples of the given total (weighted) degree, built one
+        generator at a time (no recursion, so any number of generators)."""
+        partial = [((), degree)]   # (exponents so far, degree left)
+        for _, d in self.gens:
+            partial = [(mon + (e,), rest - e * d) for mon, rest in partial
+                       for e in range(rest // d + 1)]
+        return sorted(mon for mon, rest in partial if rest == 0)
 
     def mon_name(self, mon):
         return monomial_str([name for name, _ in self.gens], mon)
@@ -364,21 +373,51 @@ class GradedRingPresentation:
                 rows.append(row)
         return rows
 
-    def piece(self, degree):
-        """The degree piece as (free rank, torsion orders, monomial basis)."""
-        basis = self.monomials(degree)
-        rows = self.relation_rows(degree, basis)
-        free, torsion = abelian_group_structure(len(basis), rows)
-        return free, torsion, basis
-
     def with_constant_relation(self, c):
         zero_mon = (0,) * len(self.gens)
         return GradedRingPresentation(
             self.gens, self.relations + [{zero_mon: c}])
 
     def is_zero_ring(self):
-        free, torsion, _ = self.piece(0)
-        return free == 0 and not torsion
+        """Is 1 = 0?  The degree-0 piece is Z modulo the gcd of its relation
+        rows, each a single constant."""
+        rows = self.relation_rows(0, self.monomials(0))
+        return math.gcd(*(row[0] for row in rows)) == 1
+
+
+def _landweber_work(pres, degree_bound):
+    """Estimated steps of the check, counted from n_d, the number of
+    monomials of degree d, without listing them: d n_d = sum_k s_k n_(d-k),
+    for s_k the sum of the degrees of the generators whose degree divides k.
+
+    Only the stages of p and of v_1 scan the degrees: v_1 is zero or a unit
+    mod p, so after it the check has failed in degree 0 or the quotient is
+    zero.  A scan puts degree d in Smith form twice, with n_d rows and up to
+    2 n_d + r_d columns for r_d relation rows, and each Smith form takes about
+    (rows + 32) * columns^2 steps.  The scans list the monomials of degree at
+    most d for the piece, for the stage's constant and for each relation, at
+    (g + 2)^2 steps each for g generators and 64 steps a list.  The count
+    stops past LANDWEBER_WORK_CAP."""
+    g = len(pres.gens)
+    s = [0] * (degree_bound + 1)
+    for e, count in Counter(e for _, e in pres.gens).items():
+        for k in range(e, degree_bound + 1, e):
+            s[k] += e * count
+    rel_degs = Counter(pres._mon_degree(next(iter(rel)))
+                       for rel in pres.relations if rel)
+    lists = 2 * (sum(rel_degs.values()) + 2)
+    n = [1]
+    work = listed = 0
+    for d in range(degree_bound + 1):
+        if d:
+            n.append(sum(s[k] * n[d - k] for k in range(1, d + 1)) // d)
+        listed += n[d]
+        cols = 2 * n[d] + sum(c * n[d - e] for e, c in rel_degs.items()
+                              if e <= d)
+        work += (n[d] + 32) * cols ** 2 + lists * ((g + 2) ** 2 * listed + 64)
+        if work > LANDWEBER_WORK_CAP:
+            break
+    return work
 
 
 def _scalar_mult_injective(pres, degree, scalar):
@@ -420,6 +459,14 @@ def landweber_regularity(pres, fgl, p, n_max, degree_bound):
         scalar_mod = 0
     else:
         raise AlgebraError("law must have scalar coefficients (Z, Z/m, F_p)")
+    if degree_bound > LANDWEBER_DEGREE_CAP:
+        raise AlgebraError("degree bound %d exceeds the desk-scale cap %d"
+                           % (degree_bound, LANDWEBER_DEGREE_CAP))
+    work = _landweber_work(pres, degree_bound)
+    if work > LANDWEBER_WORK_CAP:
+        raise AlgebraError("the check's estimated work, %d steps or more, "
+                           "exceeds the desk-scale cap %d"
+                           % (work, LANDWEBER_WORK_CAP))
 
     stages = []
     current = pres

@@ -419,18 +419,16 @@ class Series:
         lo = self.lowest - 1 if self.lowest < 0 else 0
         return Series(self.ring, self.vars, self.precision - 1, out, lo)
 
-    def integrate(self, name=None):
-        """Antiderivative with zero constant term; requires exact divisibility
-        by the new exponent in the coefficient ring.  The known window grows
-        by one degree."""
+    def integrate(self):
+        """Antiderivative in the first variable with zero constant term;
+        requires exact divisibility by the new exponent in the coefficient
+        ring.  The known window grows by one degree."""
         R = self.ring
-        i = 0 if name is None else self.vars.index(name)
         out = {}
         for e, c in self.terms.items():
-            if e[i] == -1:
+            if e[0] == -1:
                 raise AlgebraError("integration of a 1/t term needs a logarithm")
-            ne = tuple(x + 1 if j == i else x for j, x in enumerate(e))
-            out[ne] = R.divide(c, R.from_int(e[i] + 1))
+            out[(e[0] + 1,) + e[1:]] = R.divide(c, R.from_int(e[0] + 1))
         return Series(R, self.vars, self.precision + 1, out, self.lowest)
 
     # -- substitution -------------------------------------------------------

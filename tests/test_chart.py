@@ -229,6 +229,7 @@ class TestModThree:
     def test_tensor_part(self):
         rep = tmf_mod_p_pi(3)
         assert rep["group"] == "Z/3" and rep["gens"] == ["alpha"]
+        assert rep["p"] == 3
 
     def test_tor_part_shifts_up_one(self):
         rep = tmf_mod_p_pi(4)
@@ -240,10 +241,6 @@ class TestModThree:
     def test_duality_anchor_degree(self):
         rep = tmf_mod_p_pi(-21)
         assert rep["group"] == "Z/3" and rep["gens"] == ["3*dual(1)"]
-
-    def test_other_primes_rejected(self):
-        with pytest.raises(AlgebraError):
-            tmf_mod_p_pi(3, p=5)
 
     def test_each_degree_is_read_once(self, monkeypatch):
         # one audited tmf_pi for degree n and one for n - 1

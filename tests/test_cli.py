@@ -2,6 +2,7 @@
 and byte-for-byte determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from tmfkit import cli
 from tmfkit.algebra import (InternalCheckError, RING_DEPTH_CAP,
                             SMITH_BITS_CAP, ring_from_json)
+from tmfkit.fgl import LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP
 from tmfkit.series import Series
 
 
@@ -206,6 +208,14 @@ class TestLandweber:
         _, out = run_cli(["landweber", "--config", cfg])
         assert json.loads(out)["verdict"] == "fail at stage 0"
 
+    def test_honda_height_above_n_max(self, tmp_path):
+        # the Honda law is built at the precision its own height needs
+        cfg = self.write_config(tmp_path, {
+            "law": {"honda": {"p": 3, "n": 2}}, "p": 3, "n_max": 1})
+        code, out = run_cli(["landweber", "--config", cfg])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "fail at stage 0"
+
     def test_explicit_series_law(self, tmp_path):
         F = {"ring": {"kind": "Integers"}, "vars": ["x", "y"],
              "precision": 12,
@@ -240,6 +250,60 @@ class TestLandweber:
         assert code == 0 and json.loads(out)["stages"] == [
             {"stage": 0, "v": 3, "status": "fail", "first_failing_degree": 1,
              "kernel_witness": witness}]
+
+
+def landweber_sweep():
+    """Seeded landweber configs: the multiplicative and additive laws over
+    Z, Z/6 and F_3 and Honda laws of height 1 and 2 at 2, 3 and 5, for p in
+    {2, 3, 5} and n_max in {0, 1, 2}, half of them on a seeded presentation
+    of one to three generators."""
+    rng = random.Random("landweber sweep")
+    rings = [{"kind": "Integers"}, {"kind": "IntegersMod", "m": 6},
+             {"kind": "PrimeField", "p": 3}]
+    laws = [(law, ring) for law in ("multiplicative", "additive")
+            for ring in rings]
+    laws += [({"honda": {"p": q, "n": n}}, None)
+             for q in (2, 3, 5) for n in (1, 2)]
+    configs = []
+    for law, ring in laws:
+        for p in (2, 3, 5):
+            for n_max in (0, 1, 2):
+                cfg = {"law": law, "p": p, "n_max": n_max,
+                       "degree_bound": rng.randint(1, 4)}
+                if ring:
+                    cfg["ring"] = ring
+                if rng.random() < 0.5:
+                    gens = [["g%d" % i, rng.randint(1, 2)]
+                            for i in range(rng.randint(1, 3))]
+                    cfg["presentation"] = {"gens": gens, "relations": [
+                        [{"mon": [rng.randint(0, 1) for _ in gens],
+                          "coeff": rng.choice([-3, -2, 2, 3, 4, 6, 9])}]
+                        for _ in range(rng.randint(0, 2))]}
+                configs.append(cfg)
+    return configs
+
+
+def test_landweber_sweep_output_is_pinned(tmp_path):
+    """Every config of the sweep answers.  The outputs are pinned (sha256)
+    for all but the Honda laws with p^n >= p^n_max + 2, the ones for which
+    the CLI raises the law's precision past what the check needs."""
+    path = tmp_path / "config.json"
+    digest = hashlib.sha256()
+    pinned = refused = 0
+    for cfg in landweber_sweep():
+        path.write_text(json.dumps(cfg))
+        code, out = run_cli(["landweber", "--config", str(path)])
+        assert code == 0, cfg
+        honda = cfg["law"].get("honda") if isinstance(cfg["law"], dict) \
+            else None
+        if honda and honda["p"] ** honda["n"] >= cfg["p"] ** cfg["n_max"] + 2:
+            refused += 1
+        else:
+            digest.update(out.encode())
+            pinned += 1
+    assert (pinned, refused) == (81, 27)
+    assert digest.hexdigest() == ("100c578919bb942958ab12caa280ad0e"
+                                  "f082db2686826cdfce74042d04c8727d")
 
 
 class TestErrorHandling:
@@ -436,19 +500,47 @@ class TestDeskScaleCaps:
     @pytest.mark.parametrize("law", ["multiplicative",
                                      {"honda": {"p": 3, "n": 1}}],
                              ids=["multiplicative", "honda"])
-    def test_landweber_explicit_precision(self, law, tmp_path, capsys):
+    def test_landweber_explicit_precision(self, law, tmp_path):
+        # the CLI picks the law's precision itself, so a "precision" key
+        # changes nothing, however large or small
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"law": law, "p": 3, "n_max": 1,
-                                    "precision": 400}))
+        cfg = {"law": law, "p": 3, "n_max": 1}
+        path.write_text(json.dumps(cfg))
+        code, expected = run_cli(["landweber", "--config", str(path)])
+        assert code == 0
+        for precision in (400, 2):
+            path.write_text(json.dumps(dict(cfg, precision=precision)))
+            start = time.monotonic()
+            assert run_cli(["landweber", "--config", str(path)]) == \
+                (0, expected)
+            assert time.monotonic() - start < 5
+
+    @pytest.mark.parametrize("degree_bound", [LANDWEBER_DEGREE_CAP + 1,
+                                              10 ** 9],
+                             ids=["cap-plus-one", "huge"])
+    def test_landweber_degree_bound(self, degree_bound, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"law": "multiplicative", "p": 3,
+                                    "degree_bound": degree_bound}))
         start = time.monotonic()
         code, _ = run_cli(["landweber", "--config", str(path)])
-        assert code == 2 and time.monotonic() - start < 5
-        assert "precision 400 exceeds the desk-scale cap 130" in \
+        assert code == 2 and time.monotonic() - start < 1
+        assert "exceeds the desk-scale cap %d" % LANDWEBER_DEGREE_CAP in \
             capsys.readouterr().err
-        path.write_text(json.dumps({"law": law, "p": 3, "n_max": 1,
-                                    "precision": 12}))
-        assert run_cli(["landweber", "--config", str(path)])[0] == 0
 
+    def test_landweber_work(self, tmp_path, capsys):
+        # four free generators of degree 1: degree bound 8 is the largest
+        # that the work cap allows, and 9 is past it
+        pres = {"gens": [["g%d" % i, 1] for i in range(4)]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"law": "multiplicative", "p": 3,
+                                    "degree_bound": 9,
+                                    "presentation": pres}))
+        start = time.monotonic()
+        code, _ = run_cli(["landweber", "--config", str(path)])
+        assert code == 2 and time.monotonic() - start < 1
+        assert "exceeds the desk-scale cap %d" % LANDWEBER_WORK_CAP in \
+            capsys.readouterr().err
 
     def test_landweber_smith_entry_bits(self, tmp_path, capsys):
         # five relations among five degree-1 generators with coefficients in

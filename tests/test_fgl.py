@@ -19,7 +19,7 @@ from tmfkit.series import Series
 from tmfkit.fgl import (
     FormalGroupLaw, FGLInvalid, honda_fgl, height_profile,
     check_homomorphism, GradedRingPresentation, landweber_regularity,
-    LAW_PRECISION_CAP,
+    LAW_PRECISION_CAP, LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP,
 )
 from tmfkit.weierstrass import WeierstrassCurve, formal_group
 
@@ -389,6 +389,35 @@ class TestLandweber:
         law = FormalGroupLaw.multiplicative(ZZ, 11)
         start = time.perf_counter()
         out = landweber_regularity(pres, law, 3, 2, 8)
+        assert time.perf_counter() - start < 5
+        assert out["verdict"] == "pass"
+
+    @pytest.mark.parametrize("degrees,relations", [
+        ((1, 1), [{(1, 0): 1, (0, 1): -1}] * 3),
+        ((1,), [{(1,): 1}] * 100),
+        ((), [{(): 2}] * 600),
+        ((1,), []),
+    ], ids=["two-gens-3-relations", "one-gen-100-relations",
+            "600-constants", "one-gen"])
+    def test_heaviest_allowed_within_budget(self, degrees, relations):
+        # the largest degree bound that the caps allow on the presentation
+        # (work grows with the bound) answers within the 5 s budget
+        pres = GradedRingPresentation(
+            [("g%d" % i, d) for i, d in enumerate(degrees)], relations)
+        allowed, refused = 0, LANDWEBER_DEGREE_CAP + 1
+        while refused - allowed > 1:
+            mid = (allowed + refused) // 2
+            if fgl._landweber_work(pres, mid) <= LANDWEBER_WORK_CAP:
+                allowed = mid
+            else:
+                refused = mid
+        law = FormalGroupLaw.multiplicative(ZZ, 11)
+        if refused <= LANDWEBER_DEGREE_CAP:
+            with pytest.raises(AlgebraError, match="desk-scale cap %d"
+                               % LANDWEBER_WORK_CAP):
+                landweber_regularity(pres, law, 3, 2, refused)
+        start = time.perf_counter()
+        out = landweber_regularity(pres, law, 3, 2, allowed)
         assert time.perf_counter() - start < 5
         assert out["verdict"] == "pass"
 

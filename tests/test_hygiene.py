@@ -11,7 +11,8 @@ import pytest
 
 from tmfkit import algebra
 from tmfkit.algebra import PRIMALITY_CAP, RING_DEPTH_CAP, SMITH_BITS_CAP
-from tmfkit.fgl import LAW_PRECISION_CAP
+from tmfkit.fgl import (LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP,
+                        LAW_PRECISION_CAP)
 from tmfkit.modforms import QEXP_PRECISION_CAP, WEIGHT_CAP
 from tmfkit.weierstrass import CURVE_PRECISION_CAP, SS_PRIME_CAP
 
@@ -103,25 +104,58 @@ def test_no_unreferenced_ring_methods():
     assert unreferenced == []
 
 
-@pytest.mark.parametrize("cap,entry_point", [
+CAPS = [
     (PRIMALITY_CAP, "is_prime"),
     (SS_PRIME_CAP, "supersingular_polynomial"),
     (CURVE_PRECISION_CAP, "formal_group"),
     (WEIGHT_CAP, "basis_monomials"),
     (WEIGHT_CAP, "q_expansion"),
+    (QEXP_PRECISION_CAP, "q_expansion"),
     (QEXP_PRECISION_CAP, "j_q_expansion"),
     (LAW_PRECISION_CAP, "honda_fgl"),
+    (LAW_PRECISION_CAP, "height_profile"),
     (LAW_PRECISION_CAP, "landweber_regularity"),
-    (LAW_PRECISION_CAP + 2, "_cmd_landweber"),
+    (LANDWEBER_DEGREE_CAP, "landweber_regularity"),
+    (LANDWEBER_WORK_CAP, "landweber_regularity"),
     (SMITH_BITS_CAP, "smith_normal_form"),
     (RING_DEPTH_CAP, "PolynomialRing"),
-], ids=str)
+]
+
+
+def stated(cap):
+    """A cap's value as the README writes it, digits grouped by spaces."""
+    return "{:,}".format(cap).replace(",", " ")
+
+
+def caps_table():
+    """The rows (input, cap, entry points) of the README's caps table."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| input | cap | entry point |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+@pytest.mark.parametrize("cap,entry_point", CAPS, ids=str)
 def test_readme_lists_every_input_cap(cap, entry_point):
     """A row of the caps table (input | cap | entry point) gives the cap's
-    value, digits grouped by spaces, beside the function that checks it."""
-    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
-            for line in (ROOT / "README.md").read_text().splitlines()
-            if line.startswith("|")]
-    stated = "{:,}".format(cap).replace(",", " ")
-    assert any(len(row) == 3 and row[1] == stated
-               and "`%s`" % entry_point in row[2] for row in rows)
+    value beside the function that checks it."""
+    assert any(row[1] == stated(cap) and "`%s`" % entry_point in row[2]
+               for row in caps_table())
+
+
+def test_readme_lists_no_other_cap():
+    """Every row of the caps table names only (cap, entry point) pairs of
+    the list above, so a cap that goes cannot leave its row behind."""
+    pairs = {(stated(cap), entry_point) for cap, entry_point in CAPS}
+    rows = caps_table()
+    assert rows
+    for row in rows:
+        assert len(row) == 3, row
+        entry_points = [cell.strip().strip("`")
+                        for cell in row[2].split(",")]
+        assert all((row[1], entry_point) in pairs
+                   for entry_point in entry_points), row
