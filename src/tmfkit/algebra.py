@@ -31,6 +31,15 @@ class InternalCheckError(Exception):
     """A violated internal invariant.  These abort loudly (CLI exit 3)."""
 
 
+def json_int(obj, what):
+    """obj, a JSON field that must hold an integer: a float, a string or a
+    bool (an int subclass) is an input error that names the field, not a
+    value int() would truncate or parse."""
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise AlgebraError("expected %s, got %r" % (what, obj))
+    return obj
+
+
 PRIMALITY_CAP = 10 ** 6
 
 
@@ -178,9 +187,7 @@ class Integers(Ring):
         return {"kind": "Integers"}
 
     def coeff_from_json(self, obj):
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise AlgebraError("expected integer, got %r" % (obj,))
-        return obj
+        return json_int(obj, "integer")
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -230,10 +237,6 @@ class Rationals(Ring):
         return "%d/%d" % (a.numerator, a.denominator)
 
     def coeff_from_json(self, obj):
-        if isinstance(obj, bool):
-            raise AlgebraError("expected rational, got %r" % (obj,))
-        if isinstance(obj, int):
-            return Fraction(obj)
         # only the forms coeff_to_json writes: Fraction would also expand
         # exponent notation, and "1e10000000" takes seconds to parse
         if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
@@ -241,7 +244,7 @@ class Rationals(Ring):
                 return Fraction(obj)
             except ZeroDivisionError:
                 raise AlgebraError("zero denominator in %r" % (obj,))
-        raise AlgebraError("expected rational, got %r" % (obj,))
+        return Fraction(json_int(obj, "rational"))
 
     def coeff_str(self, a):
         if a.denominator == 1:
@@ -365,9 +368,7 @@ class IntegersMod(Ring):
         return {"kind": "IntegersMod", "m": self.m}
 
     def coeff_from_json(self, obj):
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise AlgebraError("expected residue, got %r" % (obj,))
-        return obj % self.m
+        return json_int(obj, "residue") % self.m
 
 
 class PrimeField(IntegersMod):
@@ -488,12 +489,10 @@ class QuadExtField(Ring):
         return [a[0], a[1]]
 
     def coeff_from_json(self, obj):
-        if isinstance(obj, int) and not isinstance(obj, bool):
-            return self.from_int(obj)
-        if (isinstance(obj, list) and len(obj) == 2
-                and all(isinstance(u, int) and not isinstance(u, bool) for u in obj)):
-            return (obj[0] % self.p, obj[1] % self.p)
-        raise AlgebraError("expected [a0, a1] element, got %r" % (obj,))
+        what = "[a0, a1] element"
+        if isinstance(obj, list) and len(obj) == 2:
+            return tuple(json_int(u, what) % self.p for u in obj)
+        return self.from_int(json_int(obj, what))
 
     def coeff_str(self, a):
         if a[1] == 0:
@@ -516,17 +515,20 @@ def ring_from_json(obj):
     if kind == "Rationals":
         return QQ
     if kind == "IntegersMod":
-        return IntegersMod(int(obj["m"]))
+        return IntegersMod(json_int(obj["m"], "integer 'm'"))
     if kind == "PrimeField":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(json_int(obj["p"], "integer 'p'"))
     if kind == "QuadExtField":
+        p = json_int(obj["p"], "integer 'p'")
         if "modulus" in obj:
-            return QuadExtField(int(obj["p"]), [int(u) for u in obj["modulus"]])
-        return QuadExtField(int(obj["p"]))
+            return QuadExtField(p, [json_int(u, "integer in 'modulus'")
+                                    for u in obj["modulus"]])
+        return QuadExtField(p)
     if kind == "ZInverted":
-        return LocalizedIntegers(inverted=tuple(int(q) for q in obj["inverted"]))
+        return LocalizedIntegers(inverted=tuple(
+            json_int(q, "integer in 'inverted'") for q in obj["inverted"]))
     if kind == "ZLocalAt":
-        return LocalizedIntegers(at=int(obj["p"]))
+        return LocalizedIntegers(at=json_int(obj["p"], "integer 'p'"))
     if kind == "PolynomialRing":
         return PolynomialRing(ring_from_json(obj["base"]), obj.get("var", "T"))
     raise AlgebraError("unknown ring kind %r" % (kind,))
@@ -710,6 +712,12 @@ def minimal_polynomial(field, a):
 # desk-scale cap on the nesting of polynomial rings: Poly arithmetic recurses
 # once per level, and each level multiplies the cost of a coefficient op
 RING_DEPTH_CAP = 3
+# desk-scale cap on the base coefficients of one polynomial coefficient read
+# from a payload, counted through the nesting: curve invariants reach degree
+# 12 in the a-invariants, so their cost grows steeply with it.  At the cap,
+# curve invariants over Q[T] or Q[T][S] with one-digit coefficients take
+# under 2 s; the cap counts the coefficients, not their size
+POLY_COEFF_CAP = 12
 
 
 class PolynomialRing(Ring):
@@ -762,9 +770,23 @@ class PolynomialRing(Ring):
     def coeff_to_json(self, a):
         return [self.base.coeff_to_json(c) for c in a.coeffs]
 
+    def _width(self, obj):
+        """The base coefficients of obj, a payload of this ring, counted
+        through the nesting (anything but a list counts one)."""
+        if not isinstance(obj, list):
+            return 1
+        if isinstance(self.base, PolynomialRing):
+            return sum(self.base._width(c) for c in obj)
+        return len(obj)
+
     def coeff_from_json(self, obj):
         if not isinstance(obj, list):
             raise AlgebraError("expected coefficient list, got %r" % (obj,))
+        width = self._width(obj)
+        if width > POLY_COEFF_CAP:
+            raise AlgebraError("%d base coefficients in one polynomial "
+                               "coefficient exceed the desk-scale cap %d"
+                               % (width, POLY_COEFF_CAP))
         return Poly(self.base, [self.base.coeff_from_json(c) for c in obj])
 
     def coeff_str(self, a):

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import (AlgebraError, InternalCheckError, is_prime,
+from .algebra import (AlgebraError, InternalCheckError, is_prime, json_int,
                       ring_from_json)
 from .series import Series
 from . import chart as chart_mod
@@ -187,13 +187,15 @@ def _presentation_from_config(cfg):
     for item in cfg.get("gens", []):
         if (not isinstance(item, (list, tuple)) or len(item) != 2):
             raise CLIInputError("presentation gens must be [name, degree] pairs")
-        gens.append((str(item[0]), int(item[1])))
+        gens.append((str(item[0]), json_int(item[1], "integer degree")))
     relations = []
     for rel in cfg.get("relations", []):
         terms = {}
         for term in rel:
-            mon = tuple(int(e) for e in _require(term, "mon", "relation term"))
-            terms[mon] = int(_require(term, "coeff", "relation term"))
+            mon = tuple(json_int(e, "integer exponent in 'mon'")
+                        for e in _require(term, "mon", "relation term"))
+            terms[mon] = json_int(_require(term, "coeff", "relation term"),
+                                  "integer 'coeff'")
         relations.append(terms)
     return fgl_mod.GradedRingPresentation(gens, relations)
 
@@ -210,8 +212,8 @@ def _law_from_config(cfg, precision):
         return fgl_mod.FormalGroupLaw.additive(ring or ZZ, precision)
     if isinstance(law, dict) and "honda" in law:
         params = law["honda"]
-        p = _decode("honda law", int, _require(params, "p", "honda law"))
-        n = _decode("honda law", int, _require(params, "n", "honda law"))
+        p = json_int(_require(params, "p", "honda law"), "integer 'p'")
+        n = json_int(_require(params, "n", "honda law"), "integer 'n'")
         if is_prime(p) and n >= 1:   # else honda_fgl names the bad one
             precision = max(precision, fgl_mod.law_precision(p, n) + 2)
         return fgl_mod.honda_fgl(p, n, precision)
@@ -226,9 +228,10 @@ def _law_from_config(cfg, precision):
 def _cmd_landweber(args, out):
     cfg = _read_payload(args)
     where = "landweber config"
-    p = _decode(where, int, _require(cfg, "p", where))
-    n_max = _decode(where, int, cfg.get("n_max", 2))
-    degree_bound = _decode(where, int, cfg.get("degree_bound", 4))
+    p = json_int(_require(cfg, "p", where), "integer 'p'")
+    n_max = json_int(cfg.get("n_max", 2), "integer 'n_max'")
+    degree_bound = json_int(cfg.get("degree_bound", 4),
+                            "integer 'degree_bound'")
     # the check reads [p](t) up to t^(p^n_max), so this precision suffices
     law = _law_from_config(cfg, fgl_mod.law_precision(p, n_max) + 2)
     if "presentation" in cfg:

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import (ZZ, AlgebraError, InternalCheckError,
-                      abelian_group_structure, monomial_str, power)
+                      abelian_group_structure, json_int, monomial_str, power)
 from .series import Series
 
 #: weight of each polynomial generator
@@ -173,7 +173,8 @@ class ModularForm:
             ring = ring_from_json(obj["ring"])
         raw = {}
         for t in obj["terms"]:
-            mon = (int(t["a"]), int(t["b"]), int(t["c"]))
+            mon = tuple(json_int(t[k], "integer exponent %r" % k)
+                        for k in "abc")
             coeff = ring.coeff_from_json(t["coeff"])
             raw[mon] = ring.add(raw.get(mon, ring.zero), coeff)
         return normal_form(raw, ring)
@@ -347,7 +348,7 @@ def j_q_expansion(N):
     work = max(N, 2) + 1
     num = _mono_qexp(3, 0, 0, work)
     den = _delta_qexp(work)
-    j = num.divide_exact(den, allow_laurent=True)
+    j = num.divide_exact(den)
     if j.coeff((-1,)) != 1:
         raise InternalCheckError("j-expansion must start with q^-1")
     if j.coeff((0,)) != 744:

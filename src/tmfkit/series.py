@@ -2,9 +2,10 @@
 
 Storage is a dict from exponent tuples to nonzero ring payloads; truncation is
 by total degree (all monomials of total degree >= precision are dropped).
-A single-variable Laurent mode (negative exponents down to a stated bound)
-exists for the handful of places that need a simple pole; multivariate
-Laurent content is rejected.  The constructor is the one place that drops
+A series of one variable may have negative exponents: a pole, as in the x
+and y of a curve's formal group and in j = q^-1 + 744 + ...; whether it has
+one is read off its terms.  A series of several variables may not, and the
+constructor refuses one.  The constructor is the one place that drops
 zero terms and terms at or above the precision; the kernels may keep zeros
 in their accumulators, and every operation hands its terms to it unfiltered.
 
@@ -13,9 +14,9 @@ inverse_unit) key a monomial by one int, the packed exponent vectors of
 Monagan & Pearce (CASC 2007) in graded form: the total degree, then all
 exponents but the last as digits in base n, the degree bound (the exponent
 itself with one variable; d*n + e0 or (d*n + e0)*n + e1 with two or three).
-Only Laurent series have negative exponents, and they have one variable; so
-a pair of total degree below n has every digit of its sum below n, and the
-keys add with no carry.
+Only series of one variable have negative exponents; so a pair of total
+degree below n has every digit of its sum below n, and the keys add with no
+carry.
 A key's degree is key // n^(k-1), and keys sort by degree.  Multivariate
 terms of degree n or more are dropped before packing: at base n, (n, 0) and
 (0, n + 1) would share a key.  _pairs is the one loop that multiplies and
@@ -61,7 +62,7 @@ from math import inf, lcm
 from operator import itemgetter, mul
 
 from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
-                      monomial_str, power)
+                      json_int, monomial_str, power)
 
 
 def _packing(k, n):
@@ -234,37 +235,28 @@ def _solve_implicit(R, H, n):
 
 
 class Series:
-    __slots__ = ("ring", "vars", "precision", "terms", "lowest")
+    __slots__ = ("ring", "vars", "precision", "terms")
 
-    def __init__(self, ring, vars, precision, terms=None, lowest=0):
+    def __init__(self, ring, vars, precision, terms=None):
         if not (1 <= len(vars) <= 3):
             raise AlgebraError("series support 1 to 3 variables")
         if precision < 1:
             raise AlgebraError("precision must be positive")
-        if lowest < 0 and len(vars) != 1:
-            raise AlgebraError("Laurent mode is single-variable only")
         self.ring = ring
         self.vars = tuple(vars)
         self.precision = precision
-        self.lowest = lowest
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                d = sum(exp)
-                if d >= precision or ring.is_zero(c):
-                    continue
-                if d < lowest:
-                    raise AlgebraError("term below the allowed lowest degree")
-                if min(exp) < 0 and lowest >= 0:
-                    raise AlgebraError("negative exponent outside Laurent mode")
-                clean[exp] = c
-        self.terms = clean
+        is_zero = ring.is_zero
+        self.terms = {e: c for e, c in (terms or {}).items()
+                      if sum(e) < precision and not is_zero(c)}
+        if len(vars) > 1 and min(map(min, self.terms), default=0) < 0:
+            raise AlgebraError("a series of several variables has no "
+                               "negative exponents")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, vars, precision, lowest=0):
-        return cls(ring, vars, precision, {}, lowest)
+    def zero(cls, ring, vars, precision):
+        return cls(ring, vars, precision, {})
 
     @classmethod
     def constant(cls, ring, vars, precision, c):
@@ -282,11 +274,10 @@ class Series:
         e = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(ring, vars, precision, {e: ring.one})
 
-    def _like(self, terms, precision=None, lowest=None):
+    def _like(self, terms, precision=None):
         return Series(self.ring, self.vars,
                       self.precision if precision is None else precision,
-                      terms,
-                      self.lowest if lowest is None else lowest)
+                      terms)
 
     # -- inspection ---------------------------------------------------------
 
@@ -297,6 +288,10 @@ class Series:
 
     def is_zero(self):
         return not self.terms
+
+    def _has_pole(self):
+        """One variable and a term of negative degree."""
+        return len(self.vars) == 1 and any(e < 0 for (e,) in self.terms)
 
     def valuation(self):
         """Minimal total degree of a nonzero term; None for the zero series."""
@@ -313,7 +308,7 @@ class Series:
     def __eq__(self, other):
         return (isinstance(other, Series) and other.ring == self.ring
                 and other.vars == self.vars and other.precision == self.precision
-                and other.lowest == self.lowest and other.terms == self.terms)
+                and other.terms == self.terms)
 
     def __hash__(self):
         return hash((self.ring, self.vars, self.precision,
@@ -349,7 +344,7 @@ class Series:
         out = dict(self.terms)
         for exp, c in other.terms.items():
             out[exp] = R.add(out[exp], c) if exp in out else c
-        return Series(R, self.vars, n, out, min(self.lowest, other.lowest))
+        return Series(R, self.vars, n, out)
 
     def __neg__(self):
         R = self.ring
@@ -368,8 +363,7 @@ class Series:
         else:
             n = min(self.precision + v2, other.precision + v1)
         return Series(self.ring, self.vars, n,
-                      _product(self.ring, self.terms, other.terms, n),
-                      self.lowest + other.lowest)
+                      _product(self.ring, self.terms, other.terms, n))
 
     def scale(self, c):
         R = self.ring
@@ -382,22 +376,21 @@ class Series:
 
     def shift(self, k):
         """Multiply by the k-th power of the single variable (k may be
-        negative in Laurent mode).  The window of known terms moves with the
+        negative, leaving a pole).  The window of known terms moves with the
         series, so the precision changes by k as well."""
         if len(self.vars) != 1:
             raise AlgebraError("shift is single-variable only")
         n = self.precision + k
         if n < 1:
             raise AlgebraError("shift would exhaust the precision")
-        lo = self.lowest + k
         out = {(e[0] + k,): c for e, c in self.terms.items()}
-        return Series(self.ring, self.vars, n, out, min(lo, 0))
+        return Series(self.ring, self.vars, n, out)
 
     def map_coeffs(self, fn, new_ring=None):
         """Apply fn to every coefficient (e.g. reduction mod p)."""
         R = new_ring if new_ring is not None else self.ring
         return Series(R, self.vars, self.precision,
-                      {e: fn(c) for e, c in self.terms.items()}, self.lowest)
+                      {e: fn(c) for e, c in self.terms.items()})
 
     def truncate(self, new_precision):
         """Lower the precision, dropping the terms it no longer covers."""
@@ -416,8 +409,7 @@ class Series:
         i = 0 if name is None else self.vars.index(name)
         out = {e[:i] + (e[i] - 1,) + e[i + 1:]: R.mul(R.from_int(e[i]), c)
                for e, c in self.terms.items() if e[i]}
-        lo = self.lowest - 1 if self.lowest < 0 else 0
-        return Series(self.ring, self.vars, self.precision - 1, out, lo)
+        return Series(self.ring, self.vars, self.precision - 1, out)
 
     def integrate(self):
         """Antiderivative in the first variable with zero constant term;
@@ -429,19 +421,16 @@ class Series:
             if e[0] == -1:
                 raise AlgebraError("integration of a 1/t term needs a logarithm")
             out[(e[0] + 1,) + e[1:]] = R.divide(c, R.from_int(e[0] + 1))
-        return Series(R, self.vars, self.precision + 1, out, self.lowest)
+        return Series(R, self.vars, self.precision + 1, out)
 
     # -- substitution -------------------------------------------------------
 
     def compose(self, g):
         """f(g) for single-variable f: subst([g]), so g may be multivariate
-        but needs positive valuation, and the result has precision
-        n = min(f.precision, g.precision).  f must be a power series: a
-        Laurent-mode f is rejected even when it has no negative term."""
+        but needs positive valuation, f may have no pole, and the result has
+        precision n = min(f.precision, g.precision)."""
         if len(self.vars) != 1:
             raise AlgebraError("compose requires a single-variable outer series")
-        if self.lowest < 0:
-            raise AlgebraError("cannot compose a Laurent series")
         return self.subst([g])
 
     def subst(self, values):
@@ -481,8 +470,7 @@ class Series:
                 raise AlgebraError("mismatched series (ring or variables differ)")
             if not P.is_zero() and P.valuation() < 1:
                 raise AlgebraError("composition requires positive valuation")
-        # only Laurent mode (lowest < 0) admits negative exponents
-        if self.lowest < 0 and any(min(e) < 0 for e in self.terms):
+        if self._has_pole():
             raise AlgebraError("cannot substitute into a Laurent series")
         n = min([self.precision] + [P.precision for P in values])
         pack, unpack, s = _packing(len(tgt.vars), n)
@@ -535,8 +523,6 @@ class Series:
         """Move to a new variable tuple.  mapping[i] = index of old variable i
         inside new_vars (defaults to name lookup)."""
         new_vars = tuple(new_vars)
-        if self.lowest < 0 and len(new_vars) > 1:
-            raise AlgebraError("cannot rename a Laurent series into several variables")
         if mapping is None:
             mapping = [new_vars.index(v) for v in self.vars]
         out = {}
@@ -545,7 +531,7 @@ class Series:
             for i, x in enumerate(e):
                 ne[mapping[i]] = x
             out[tuple(ne)] = c
-        return Series(self.ring, new_vars, self.precision, out, self.lowest)
+        return Series(self.ring, new_vars, self.precision, out)
 
     # -- division -----------------------------------------------------------
 
@@ -556,12 +542,12 @@ class Series:
         commutative ring.  Once q_(d-1) is known, one _pairs call adds its
         products with every -(1/c0) f_j into a running sum of the degrees
         above, whose degree-d part is then complete: q_d.  The result has
-        the precision of f.  Laurent input is rejected; divide_exact
+        the precision of f.  An f with a pole is rejected; divide_exact
         handles that case by shifting.  On rings with the to_cleared hook
         the recurrence runs on cleared ints, reduced mod m once per degree
         over Z/m and F_p, with one from_cleared per output term."""
         R = self.ring
-        if any(sum(e) < 0 for e in self.terms):
+        if self._has_pole():
             raise AlgebraError("inverse_unit needs a power series")
         c0 = self.constant_term()
         if not R.is_unit(c0):
@@ -590,7 +576,7 @@ class Series:
             qd = _reduce(R, {k: acc.pop(k) for k in done})
         return Series(R, self.vars, n, out)
 
-    def divide_exact(self, g, allow_laurent=False):
+    def divide_exact(self, g):
         """f/g by the first of three routes that applies:
 
         1. g is a power series with unit constant term: f * g.inverse_unit().
@@ -602,42 +588,35 @@ class Series:
         On routes 2 and 3 the result's precision drops by the valuation v of
         g, and by a further v − val(f) when f starts lower than g (the
         quotient's low terms consume that much of the known window).
-        Negative exponents in the quotient need one variable and either
-        allow_laurent or a Laurent operand."""
+        A quotient of one variable may have a pole; one of several variables
+        with a negative exponent is NotDivisible."""
         self._align(g)
         R = self.ring
         if g.is_zero():
             raise NotDivisible("division by zero series")
-        if not any(sum(e) < 0 for e in g.terms) and \
-                R.is_unit(g.constant_term()):
+        if not g._has_pole() and R.is_unit(g.constant_term()):
             return self * g.inverse_unit()
         v = g.valuation()
         if self.is_zero():
             n = min(self.precision, g.precision) - max(v, 0)
-            return Series.zero(R, self.vars, n, self.lowest)
+            return Series.zero(R, self.vars, n)
         vf = self.valuation()
         n = min(self.precision, g.precision) - v - max(0, v - vf)
         if n < 1:
             raise AlgebraError("division would exhaust the precision")
-        one_var = len(self.vars) == 1
-        laurent = one_var and (allow_laurent or self.lowest < 0
-                               or g.lowest < 0)
-        if one_var and R.is_unit(g.coeff((v,))):
+        if len(self.vars) == 1 and R.is_unit(g.coeff((v,))):
             q = (self * g.shift(-v).inverse_unit()).shift(-v).terms
         else:
-            q = self._eliminate(g, v, n, laurent)
-        low = min((sum(e) for e in q), default=0)
-        if low < 0 and not laurent:
-            raise NotDivisible("not divisible")
-        return Series(R, self.vars, n, q, min(low, 0))
+            q = self._eliminate(g, v, n)
+        return Series(R, self.vars, n, q)
 
-    def _eliminate(self, g, v, n, laurent):
+    def _eliminate(self, g, v, n):
         """Quotient terms of f/g below degree n by leading-term elimination:
         repeatedly divide the least remaining term of f, by (degree,
         exponent), by g's lex-least term of degree v, and subtract that
         quotient term times g.  Each step is forced, so the quotient is
         exact only if every step is; an inexact step raises NotDivisible,
-        and so does a negative quotient exponent unless laurent."""
+        and so does a negative quotient exponent in several variables."""
         R = self.ring
         lead = min(e for e in g.terms if sum(e) == v)
         lc = g.terms[lead]
@@ -653,7 +632,7 @@ class Series:
                 # everything left is beyond the result precision
                 break
             q_exp = tuple(a - b for a, b in zip(e, lead))
-            if min(q_exp) < 0 and not laurent:
+            if len(q_exp) > 1 and min(q_exp) < 0:
                 raise NotDivisible("not divisible")
             q_c = R.divide(rem[e], lc)
             out[q_exp] = q_c
@@ -674,10 +653,10 @@ class Series:
         """Compositional inverse of a single-variable series f of valuation
         1 with a unit linear coefficient: the g with f(g(t)) = t, by
         _solve_implicit on H(t, y) = f(y) - t.  The result has f's
-        precision.  Laurent input is rejected."""
+        precision.  An f with a pole is rejected."""
         if len(self.vars) != 1:
             raise AlgebraError("reversion is single-variable only")
-        if self.lowest < 0:
+        if self._has_pole():
             raise AlgebraError("cannot reverse a Laurent series")
         R = self.ring
         a1 = self.coeff((1,))
@@ -708,15 +687,14 @@ class Series:
             ring = ring_from_json(obj["ring"])
         vars = tuple(obj["vars"])
         terms = {}
-        lowest = 0
         for t in obj.get("terms", []):
-            e = tuple(int(x) for x in t["exp"])
+            e = tuple(json_int(x, "integer exponent") for x in t["exp"])
             if len(e) != len(vars):
                 raise AlgebraError("exponent %r does not match the variables "
                                    "%r" % (list(e), list(vars)))
             terms[e] = ring.coeff_from_json(t["coeff"])
-            lowest = min(lowest, sum(e))
-        return cls(ring, vars, int(obj["precision"]), terms, lowest)
+        precision = json_int(obj["precision"], "integer 'precision'")
+        return cls(ring, vars, precision, terms)
 
     def __str__(self):
         if not self.terms:

@@ -16,7 +16,7 @@ SS_PRIME_CAP = 101
 # a dense curve over Q at N = 32 takes seconds; far above that it hangs
 CURVE_PRECISION_CAP = 32
 # primes up to this bound use the z-coordinate p-series for v1; beyond it the
-# Deuring coefficient (same vanishing locus, unit-scaled value) stands in
+# Deuring coefficient, which equals that v1, stands in
 HASSE_FGL_CAP = 13
 
 
@@ -372,9 +372,11 @@ def hasse_invariant(curve):
     """{v1, ordinary} for a smooth curve over a field of characteristic p:
     v1 is the t^p coefficient of the p-series of the z-coordinate formal
     group (precision p+2, its law certified associative); for large p the
-    Deuring coefficient stands in (same vanishing locus).  Cross-checked
-    against the division-polynomial height, and against Deuring for
-    5 <= p <= 13."""
+    Deuring coefficient stands in.  The two are equal: with
+    omega = dx/(2y + a1 x + a3), the t^p coefficient of [p](t) is the Hasse
+    invariant of (E, omega), and the short form (u = 1) keeps omega.
+    Cross-checked against the division-polynomial height, and against
+    Deuring, by value, for 5 <= p <= 13."""
     R = curve.ring
     p = R.characteristic()
     if p == 0 or not is_prime(p):
@@ -387,7 +389,7 @@ def hasse_invariant(curve):
         v1 = hp.v_values[0] if hp.v_values else R.zero
         if 5 <= p:
             deu = deuring_coefficient(curve)
-            if R.is_zero(deu) != R.is_zero(v1):
+            if not R.eq(deu, v1):
                 raise InternalCheckError("Deuring cross-check failed")
     else:
         v1 = deuring_coefficient(curve)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmfkit import cli
-from tmfkit.algebra import (InternalCheckError, RING_DEPTH_CAP,
-                            SMITH_BITS_CAP, ring_from_json)
+from tmfkit.algebra import (InternalCheckError, POLY_COEFF_CAP,
+                            RING_DEPTH_CAP, SMITH_BITS_CAP, ring_from_json)
 from tmfkit.fgl import LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP
 from tmfkit.series import Series
 
@@ -697,6 +697,165 @@ class TestMalformedPayloadsInProcess:
         monkeypatch.setattr(cli.mf_mod, "basis_monomials", broken)
         with pytest.raises(ValueError, match="not a digit-limit error"):
             run_cli(["modforms", "basis", "--weight", "4"])
+
+
+def curve_over(ring):
+    return {"ring": ring, "a": [0, 0, 0, 1, 1]}
+
+
+def form_with(**fields):
+    term = dict({"a": 1, "b": 0, "c": 0, "coeff": 1}, **fields)
+    return {"ring": {"kind": "Integers"}, "terms": [term]}
+
+
+def law_config(**fields):
+    return dict({"law": "multiplicative", "p": 3, "n_max": 1}, **fields)
+
+
+def additive_law(precision=4, exp=(1, 0)):
+    return {"F": {"ring": {"kind": "Integers"}, "vars": ["x", "y"],
+                  "precision": precision,
+                  "terms": [{"exp": list(exp), "coeff": 1},
+                            {"exp": [0, 1], "coeff": 1}]}}
+
+
+CURVE_INVARIANTS = ["curve", "invariants"]
+QEXP = ["modforms", "qexp", "--precision", "4"]
+LANDWEBER = ["landweber", "--config"]
+# each integer field of a payload: (argv, the payload with v in the field,
+# an integer the payload answers with, the field's name in the message)
+INTEGER_FIELDS = {
+    "ring-m": (CURVE_INVARIANTS, lambda v: curve_over(
+        {"kind": "IntegersMod", "m": v}), 6, "'m'"),
+    "ring-p": (CURVE_INVARIANTS, lambda v: curve_over(
+        {"kind": "PrimeField", "p": v}), 7, "'p'"),
+    "quad-p": (CURVE_INVARIANTS, lambda v: curve_over(
+        {"kind": "QuadExtField", "p": v}), 5, "'p'"),
+    "quad-modulus": (CURVE_INVARIANTS, lambda v: curve_over(
+        {"kind": "QuadExtField", "p": 3, "modulus": [1, v, 1]}), 0,
+        "'modulus'"),
+    "inverted": (CURVE_INVARIANTS, lambda v: curve_over(
+        {"kind": "ZInverted", "inverted": [v]}), 2, "'inverted'"),
+    "local-p": (CURVE_INVARIANTS, lambda v: curve_over(
+        {"kind": "ZLocalAt", "p": v}), 3, "'p'"),
+    "form-a": (QEXP, lambda v: form_with(a=v), 1, "exponent 'a'"),
+    "form-b": (QEXP, lambda v: form_with(b=v), 1, "exponent 'b'"),
+    "form-c": (QEXP, lambda v: form_with(c=v), 1, "exponent 'c'"),
+    "landweber-p": (LANDWEBER, lambda v: law_config(p=v), 3, "'p'"),
+    "n_max": (LANDWEBER, lambda v: law_config(n_max=v), 1, "'n_max'"),
+    "degree_bound": (LANDWEBER, lambda v: law_config(degree_bound=v), 2,
+                     "'degree_bound'"),
+    "honda-p": (LANDWEBER, lambda v: law_config(
+        law={"honda": {"p": v, "n": 1}}), 3, "'p'"),
+    "honda-n": (LANDWEBER, lambda v: law_config(
+        law={"honda": {"p": 3, "n": v}}), 1, "'n'"),
+    "series-precision": (LANDWEBER, lambda v: law_config(
+        law=additive_law(precision=v)), 4, "'precision'"),
+    "series-exponent": (LANDWEBER, lambda v: law_config(
+        law=additive_law(exp=(v, 0))), 1, "exponent"),
+    "gen-degree": (LANDWEBER, lambda v: law_config(
+        presentation={"gens": [["u", v]]}), 2, "degree"),
+    "relation-mon": (LANDWEBER, lambda v: law_config(
+        presentation={"gens": [["u", 1]],
+                      "relations": [[{"mon": [v], "coeff": 3}]]}), 1,
+        "'mon'"),
+    "relation-coeff": (LANDWEBER, lambda v: law_config(
+        presentation={"gens": [["u", 1]],
+                      "relations": [[{"mon": [1], "coeff": v}]]}), 3,
+        "'coeff'"),
+}
+
+
+class TestIntegerFields:
+    """An integer field of a payload takes a JSON integer only: a float is
+    not truncated, and a numeric string or a boolean is not read as a
+    number."""
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integer_answers(self, field):
+        # so the exit 2 below comes from the field alone
+        argv, payload, good, _ = INTEGER_FIELDS[field]
+        assert run_text(argv, json.dumps(payload(good))) == 0
+
+    @pytest.mark.parametrize("value", [6.9, 2.0, "7", True],
+                             ids=["float", "integral-float", "string",
+                                  "true"])
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_non_integer_exits_two_and_names_the_field(self, field, value,
+                                                       capsys):
+        argv, payload, _, name = INTEGER_FIELDS[field]
+        assert run_text(argv, json.dumps(payload(value))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: expected ")
+        assert name in err and repr(value) in err
+
+
+def test_negative_exponent_in_a_law_of_two_variables(capsys):
+    # x^-1 y is no term of a series in x and y: the constructor refuses it
+    cfg = law_config(law=additive_law(exp=(-1, 1)))
+    assert run_text(LANDWEBER, json.dumps(cfg)) == 2
+    assert "a series of several variables has no negative exponents" in \
+        capsys.readouterr().err
+
+
+def poly_coeff(rng, shape):
+    """A random coefficient of Q nested len(shape) deep, with shape[i]
+    entries at level i."""
+    if not shape:
+        return "%d/%d" % (rng.randint(1, 9), rng.randint(2, 9))
+    return [poly_coeff(rng, shape[1:]) for _ in range(shape[0])]
+
+
+def poly_curve(shape, seed=0):
+    """curve invariants over Q nested in len(shape) PolynomialRings, five
+    random a-invariants of the given shape."""
+    rng = random.Random(seed)
+    ring = {"kind": "Rationals"}
+    for _ in shape:
+        ring = {"kind": "PolynomialRing", "base": ring}
+    return json.dumps({"ring": ring,
+                       "a": [poly_coeff(rng, shape) for _ in range(5)]})
+
+
+class TestPolynomialCoefficientCap:
+    """A polynomial coefficient of a payload has at most POLY_COEFF_CAP base
+    coefficients, counted through the nesting; curve invariants grow to
+    degree 12 in them."""
+
+    @pytest.mark.parametrize("shape", [(POLY_COEFF_CAP,), (6, 2), (2, 6),
+                                       (POLY_COEFF_CAP, 1)],
+                             ids=str)
+    def test_at_the_cap_curve_invariants_answers_in_time(self, shape):
+        text = poly_curve(shape)
+        start = time.monotonic()
+        assert run_text(CURVE_INVARIANTS, text) == 0
+        assert time.monotonic() - start < 5
+
+    @pytest.mark.parametrize("shape", [(POLY_COEFF_CAP + 1,),
+                                       (POLY_COEFF_CAP + 1, 1),
+                                       (1, POLY_COEFF_CAP + 1),
+                                       (7, 2), (100000,)], ids=str)
+    def test_past_the_cap_exits_two_at_once(self, shape, capsys):
+        text = poly_curve(shape)
+        start = time.monotonic()
+        assert run_text(CURVE_INVARIANTS, text) == 2
+        assert time.monotonic() - start < 1
+        assert "exceed the desk-scale cap %d" % POLY_COEFF_CAP in \
+            capsys.readouterr().err
+
+    def test_series_and_form_coefficients_are_capped(self, capsys):
+        ring = {"kind": "PolynomialRing", "base": {"kind": "PrimeField",
+                                                   "p": 3}}
+        big = [1] * (POLY_COEFF_CAP + 1)
+        form = {"ring": ring, "terms": [{"a": 1, "b": 0, "c": 0,
+                                         "coeff": big}]}
+        law = law_config(law={"F": {"ring": ring, "vars": ["x", "y"],
+                                    "precision": 3,
+                                    "terms": [{"exp": [1, 0], "coeff": big}]}})
+        assert run_text(QEXP, json.dumps(form)) == 2
+        assert run_text(LANDWEBER, json.dumps(law)) == 2
+        assert capsys.readouterr().err.count(
+            "exceed the desk-scale cap %d" % POLY_COEFF_CAP) == 2
 
 
 # -- in-process fuzz: random JSON values in the real fields of each payload

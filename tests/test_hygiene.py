@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from tmfkit import algebra
-from tmfkit.algebra import PRIMALITY_CAP, RING_DEPTH_CAP, SMITH_BITS_CAP
+from tmfkit.algebra import (POLY_COEFF_CAP, PRIMALITY_CAP, RING_DEPTH_CAP,
+                            SMITH_BITS_CAP)
 from tmfkit.fgl import (LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP,
                         LAW_PRECISION_CAP)
 from tmfkit.modforms import QEXP_PRECISION_CAP, WEIGHT_CAP
@@ -119,6 +120,7 @@ CAPS = [
     (LANDWEBER_WORK_CAP, "landweber_regularity"),
     (SMITH_BITS_CAP, "smith_normal_form"),
     (RING_DEPTH_CAP, "PolynomialRing"),
+    (POLY_COEFF_CAP, "PolynomialRing.coeff_from_json"),
 ]
 
 

@@ -142,7 +142,7 @@ class TestFormalGroup:
     def test_leading_shape(self):
         data = formal_group(qcurve(0, 0, 0, 0, 1), 8)
         x = data["x_series"]
-        assert x.lowest == -2 and QQ.eq(x.coeff((-2,)), QQ.one)
+        assert x.valuation() == -2 and QQ.eq(x.coeff((-2,)), QQ.one)
         eta = data["eta"]
         assert QQ.eq(eta.constant_term(), QQ.one)
 
@@ -182,7 +182,7 @@ def plain_formal_group(curve, N):
     x = z/w and y = -1/w by Laurent division, the chord slope by dividing
     w(z2) - w(z1) by z2 - z1, and eta = dx/(2y + a1 x + a3) by Laurent
     division (None where that division fails).  F, x and y are truncated
-    to N and eta to N - 1, with lowest 0."""
+    to N and eta to N - 1."""
     R = curve.ring
     a1, a2, a3, a4, a6 = curve.a_invariants()
     Nw = N + 8
@@ -197,8 +197,8 @@ def plain_formal_group(curve, N):
             break
         u = nu
     w = z ** 3 * u
-    x = z.divide_exact(w, allow_laurent=True)
-    y = (-one).divide_exact(w, allow_laurent=True)
+    x = z.divide_exact(w)
+    y = (-one).divide_exact(w)
     pair = ("z1", "z2")
     Z1 = Series.gen(R, pair, Nw, "z1")
     Z2 = Series.gen(R, pair, Nw, "z2")
@@ -217,7 +217,7 @@ def plain_formal_group(curve, N):
     den = y.scale(i(2)) + x.scale(a1) + \
         Series.constant(R, ("z",), x.precision, a3)
     try:
-        eta = x.derivative().divide_exact(den, allow_laurent=True)
+        eta = x.derivative().divide_exact(den)
         eta = Series(R, ("z",), N - 1, eta.terms)
     except NotDivisible:
         eta = None
@@ -348,7 +348,8 @@ class TestHasse:
         assert rep["v1"] == 4 and rep["ordinary"] is True
 
     def test_deuring_agreement(self):
-        # for p >= 5 the x^(p-1) coefficient criterion matches v1 = 0
+        # for p >= 5 the x^(p-1) coefficient equals the FGL v1, so it also
+        # vanishes exactly where v1 does
         for p in (5, 7, 11, 13):
             F = PrimeField(p)
             for a4 in range(p):
@@ -356,9 +357,20 @@ class TestHasse:
                     c = WeierstrassCurve.from_ints(F, 0, 0, 0, a4, a6)
                     if not c.is_smooth():
                         continue
-                    dz = F.is_zero(deuring_coefficient(c))
-                    hz = not hasse_invariant(c)["ordinary"]
-                    assert dz == hz
+                    rep = hasse_invariant(c)
+                    assert deuring_coefficient(c) == rep["v1"]
+                    assert F.is_zero(rep["v1"]) != rep["ordinary"]
+
+    def test_deuring_cross_check_is_by_value(self, monkeypatch):
+        # a unit multiple of the Deuring coefficient vanishes where it
+        # does, so only a comparison by value catches it
+        c = WeierstrassCurve.from_ints(PrimeField(7), 1, 2, 3, 4, 5)
+        assert hasse_invariant(c)["ordinary"]
+        deuring = weierstrass.deuring_coefficient
+        monkeypatch.setattr(weierstrass, "deuring_coefficient",
+                            lambda curve: curve.ring.mul(2, deuring(curve)))
+        with pytest.raises(InternalCheckError, match="Deuring cross-check"):
+            hasse_invariant(c)
 
     def test_characteristic_zero_rejected(self):
         with pytest.raises(AlgebraError):
