@@ -89,7 +89,6 @@ class Ring:
     which ring_from_json inverts.  The number arithmetic a + b, -a, a * b is
     stated here; rings whose payloads need reducing override it."""
 
-    kind = None
     depth = 0   # levels of PolynomialRing nesting
 
     # Rings whose payloads are Fractions or ints (Q, its localizations, Z,
@@ -152,7 +151,6 @@ class Ring:
 
 
 class Integers(Ring):
-    kind = "Integers"
     zero = 0
     one = 1
 
@@ -194,7 +192,6 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class Rationals(Ring):
-    kind = "Rationals"
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -267,7 +264,6 @@ class LocalizedIntegers(Rationals):
                 raise AlgebraError("%d is not prime" % q)
         if at is not None and not is_prime(at):
             raise AlgebraError("%d is not prime" % at)
-        self.kind = "ZInverted" if at is None else "ZLocalAt"
 
     def check(self, a):
         d = a.denominator
@@ -321,8 +317,6 @@ class LocalizedIntegers(Rationals):
 
 
 class IntegersMod(Ring):
-    kind = "IntegersMod"
-
     def __init__(self, m):
         if m < 2:
             raise AlgebraError("modulus must be >= 2")
@@ -372,8 +366,6 @@ class IntegersMod(Ring):
 
 
 class PrimeField(IntegersMod):
-    kind = "PrimeField"
-
     def __init__(self, p):
         if not is_prime(p):
             raise AlgebraError("not prime: %d" % p)
@@ -410,8 +402,6 @@ def _smallest_quad_modulus(p):
 
 class QuadExtField(Ring):
     """F_{p^2} = F_p[x]/(x^2 + b x + c).  Payloads (a0, a1) meaning a0 + a1 x."""
-
-    kind = "QuadExtField"
 
     def __init__(self, p, modulus=None):
         if not is_prime(p):
@@ -710,8 +700,10 @@ def minimal_polynomial(field, a):
 
 
 # desk-scale cap on the nesting of polynomial rings: Poly arithmetic recurses
-# once per level, and each level multiplies the cost of a coefficient op
-RING_DEPTH_CAP = 3
+# once per level, and each level multiplies the cost of a coefficient op.
+# The curve families over a base need F_p[T]; at depth 3, curve invariants
+# over Q[T][S][U] inside POLY_COEFF_CAP take about 10 s
+RING_DEPTH_CAP = 2
 # desk-scale cap on the base coefficients of one polynomial coefficient read
 # from a payload, counted through the nesting: curve invariants reach degree
 # 12 in the a-invariants, so their cost grows steeply with it.  At the cap,
@@ -724,8 +716,6 @@ class PolynomialRing(Ring):
     """Polynomial ring over a base ring, as a coefficient ring in its own
     right (payloads are Poly values).  The one constructor that nests rings,
     so it checks RING_DEPTH_CAP."""
-
-    kind = "PolynomialRing"
 
     def __init__(self, base, var="T"):
         self.depth = base.depth + 1

@@ -460,7 +460,10 @@ class HomotopyGroupReport:
     ``gens`` is a list of dicts with keys label, order (0 for a free
     generator, 3 for torsion), provenance ('DM' for the non-negative
     presentation, 'K1' for the all-scaled dual lattice, 'DC' for negative
-    classes outside K^1), and optionally detected_by / dual_of.
+    classes outside K^1), class (the chart class that carries it, an
+    Entry.free triple or an (e, f, c) shape; tmf_pi derives the label
+    from it and audits it against E-infinity), and optionally
+    detected_by / dual_of.
     """
 
     __slots__ = ("degree", "free_rank", "torsion", "gens")
@@ -485,15 +488,11 @@ class HomotopyGroupReport:
 
 
 def _dm_free_gens(n):
-    """Free generators in degree n >= 0: the d5-kernel lattice of M_(n/2)."""
+    """Free classes in degree n >= 0: the d5-kernel lattice of M_(n/2)."""
     if n < 0 or n % 2 != 0:
         return []
-    gens = []
-    for mon in basis_monomials(n // 2):
-        scaled = _is_pure_delta(mon) and mon[2] % 3 != 0
-        label = ("3*" if scaled else "") + monomial_label(mon)
-        gens.append({"label": label, "order": 0, "provenance": "DM"})
-    return gens
+    return [("mf", mon, 3 if _is_pure_delta(mon) and mon[2] % 3 != 0 else 1)
+            for mon in basis_monomials(n // 2)]
 
 
 def _dm_torsion_gen(n):
@@ -506,31 +505,18 @@ def _dm_torsion_gen(n):
     label, (e, f, cx) = _DM_TORSION[base]
     if m > 0:
         label = "%s*Delta^%d" % (label, 3 * m)
-    detected = _tors_label(e, f, cx + 3 * m)
+    shape = (e, f, cx + 3 * m)
     return {"label": label, "order": 3, "provenance": "DM",
-            "detected_by": detected}
+            "detected_by": _tors_label(*shape), "class": shape}
 
 
 def _dc_free_gens(n):
-    """Free generators in degree n <= -21: the surviving dual lattice of
+    """Free classes in degree n <= -21: the surviving dual lattice of
     M_k for n = -2k - 21."""
     if n > -21 or (-n - 21) % 2 != 0:
         return []
-    k = (-n - 21) // 2
-    gens = []
-    for mon in basis_monomials(k):
-        if _is_pure_delta(mon):
-            m = mon[2]
-            if m % 3 == 0:
-                gens.append({"label": "3*dual(%s)" % monomial_label(mon),
-                             "order": 0, "provenance": "K1"})
-            else:
-                gens.append({"label": "dual(%s)" % monomial_label(mon),
-                             "order": 0, "provenance": "DC"})
-        else:
-            gens.append({"label": "3*dual(%s)" % monomial_label(mon),
-                         "order": 0, "provenance": "K1"})
-    return gens
+    return [("dual", mon, 1 if _is_pure_delta(mon) and mon[2] % 3 != 0 else 3)
+            for mon in basis_monomials((-n - 21) // 2)]
 
 
 def _dc_torsion_gen(n):
@@ -538,7 +524,7 @@ def _dc_torsion_gen(n):
     dual (under the -22 reflection) to the one in degree -n - 22."""
     if n >= -20:
         return None
-    partner = -n - 22
+    partner = _dm_torsion_gen(-n - 22)
     # locate the chart class of degree n among the negative survivors
     candidates = []
     # beta^f Delta^(3m), m <= -1
@@ -553,19 +539,15 @@ def _dc_torsion_gen(n):
             c = (n - base) // 24
             if c <= -2 and c % 3 in (0, 1):
                 candidates.append((1, f, c))
-    expected = partner >= 3 and partner % 72 in _DM_TORSION
-    if len(candidates) > 1 or expected != (len(candidates) == 1):
+    if len(candidates) > 1 or (partner is not None) != (len(candidates) == 1):
         raise InternalCheckError(
             "reflection rule and chart enumeration disagree in degree %d: %r"
             % (n, candidates))
     if not candidates:
         return None
     shape = candidates[0]
-    dual_label, _ = _DM_TORSION[partner % 72]
-    if partner // 72 > 0:
-        dual_label += "*Delta^%d" % (3 * (partner // 72))
     return {"label": _tors_label(*shape), "order": 3, "provenance": "DC",
-            "dual_of": dual_label}
+            "dual_of": partner["label"], "class": shape}
 
 
 def tmf_pi(n):
@@ -575,38 +557,36 @@ def tmf_pi(n):
     M_* on the zero line plus the order-3 algebra on alpha, beta, x =
     <alpha, alpha, beta^2>), negative degrees from the DC presentation
     (dual lattices with K^1 their all-scaled part, plus reflected order-3
-    classes strictly below degree -20).  Every answer is audited against
-    the E-infinity page of the spectral sequence run on degree n alone:
-    the free rank and the number of order-3 classes must agree.
+    classes strictly below degree -20).  Each generator's "class" is the
+    chart class that carries it, and every answer is audited against the
+    E-infinity page of the spectral sequence run on degree n alone: the
+    presentation's free (kind, monomial, scale) classes and order-3
+    (e, f, c) classes must be E-infinity's classes in that degree.
     """
     lo, hi = DEFAULT_WINDOW
     if not lo <= n <= hi:
         raise AlgebraError("degree %d outside the window [%d, %d]"
                            % (n, lo, hi))
-    gens = []
     if n >= 0:
-        gens.extend(_dm_free_gens(n))
-        tg = _dm_torsion_gen(n)
-        if tg:
-            gens.append(tg)
+        free, tg = _dm_free_gens(n), _dm_torsion_gen(n)
     else:
-        gens.extend(_dc_free_gens(n))
-        tg = _dc_torsion_gen(n)
-        if tg:
-            gens.append(tg)
-        if -20 <= n <= -1 and gens:
-            raise InternalCheckError(
-                "degrees -1 .. -20 must be empty, found %r" % gens)
-    report = HomotopyGroupReport(n, gens)
-    einf = descent_ss(n, n).infinity.entries.values()
-    free = sum(ent.free_rank() for ent in einf)
-    torsion = sum(len(ent.torsion) for ent in einf)
-    if free != report.free_rank or torsion != len(report.torsion):
+        free, tg = _dc_free_gens(n), _dc_torsion_gen(n)
+    gens = [{"label": _free_label(*cls), "order": 0,
+             "provenance": "DM" if cls[0] == "mf" else
+                           ("K1" if cls[2] == 3 else "DC"),
+             "class": cls} for cls in free] + ([tg] if tg else [])
+    torsion = [tg["class"]] if tg else []
+    if -20 <= n <= -1 and gens:
         raise InternalCheckError(
-            "degree %d: presentation gives rank %d + %d torsion classes, "
-            "E-infinity gives %d + %d"
-            % (n, report.free_rank, len(report.torsion), free, torsion))
-    return report
+            "degrees -1 .. -20 must be empty, found %r" % gens)
+    einf = list(descent_ss(n, n).infinity.entries.values())
+    einf_free = [cls for ent in einf for cls in ent.free]
+    einf_torsion = [shape for ent in einf for shape in ent.torsion]
+    if free != einf_free or torsion != einf_torsion:
+        raise InternalCheckError(
+            "degree %d: presentation gives classes %r, E-infinity gives %r"
+            % (n, free + torsion, einf_free + einf_torsion))
+    return HomotopyGroupReport(n, gens)
 
 
 def tmf_pi_window(n_min, n_max):
@@ -621,15 +601,10 @@ def tmf_pi_window(n_min, n_max):
 def _tmf3_gens(n):
     """Generators of pi_n of the mod-3 theory: (pi_n tensor Z/3) plus
     Tor(pi_(n-1), Z/3), as tagged copies of the integral generators."""
-    here = tmf_pi(n)
-    below = tmf_pi(n - 1)
-    gens = []
-    for g in here.gens:
-        gens.append({"part": "tensor", "degree": n, "gen": g})
-    for g in below.gens:
-        if g["order"] != 0:
-            gens.append({"part": "tor", "degree": n - 1, "gen": g})
-    return gens
+    tensor = [{"part": "tensor", "degree": n, "gen": g}
+              for g in tmf_pi(n).gens]
+    return tensor + [{"part": "tor", "degree": n - 1, "gen": g}
+                     for g in tmf_pi(n - 1).gens if g["order"] != 0]
 
 
 def _tmf3_label(wrapped):
@@ -656,31 +631,18 @@ def _pair(g, h):
     """Pairing of pi_k(tmf/3) x pi_(-k-21)(tmf/3) -> pi_(-21)(tmf/3) = F_3,
     the product followed by projection on the K^1 class dual to 1."""
     a, b = g["gen"], h["gen"]
-    if g["part"] == "tensor" and h["part"] == "tensor":
-        if a["order"] == 0 and b["order"] == 0:
-            # free x free: monomial duals pair when the labels match and the
-            # two scalings multiply to exactly 3 (3^eps mu against
-            # 3^(1-eps) dual(mu) lands on 3*dual(1), the generator)
-            la, lb = a["label"], b["label"]
-            if "dual" in la:
-                la, lb = lb, la
-            if "dual" in la or "dual" not in lb:
-                return 0
-            sa = 3 if la.startswith("3*") else 1
-            base_a = la[2:] if la.startswith("3*") else la
-            sb = 3 if lb.startswith("3*") else 1
-            base_b = lb[2:] if lb.startswith("3*") else lb
-            if base_b != "dual(%s)" % base_a:
-                return 0
-            return 1 if sa * sb == 3 else 0
-        return 0
-    if g["part"] == "tor" and h["part"] == "tor":
+    if a["order"] == 0 and b["order"] == 0:
+        # free x free (both tensor parts): mu and dual(mu) pair when their
+        # scalings multiply to exactly 3 (3^eps mu against 3^(1-eps)
+        # dual(mu) lands on 3*dual(1), the generator)
+        (ka, ma, sa), (kb, mb, sb) = a["class"], b["class"]
+        return 1 if ka != kb and ma == mb and sa * sb == 3 else 0
+    if g["part"] == h["part"]:
         return 0
     # tensor torsion against Tor torsion: the -22-reflection partners
     ten, tor = (g, h) if g["part"] == "tensor" else (h, g)
-    if ten["gen"]["order"] == 0:
-        return 0
-    return 1 if ten["degree"] + tor["degree"] == -22 else 0
+    return 1 if ten["gen"]["order"] and \
+        ten["degree"] + tor["degree"] == -22 else 0
 
 
 def duality_check(k):
@@ -689,17 +651,11 @@ def duality_check(k):
     left = _tmf3_gens(k)
     right = _tmf3_gens(-k - 21)
     matrix = [[_pair(g, h) for h in right] for g in left]
-    square = len(left) == len(right)
-    perfect = square
-    if square:
-        for row in matrix:
-            if sum(1 for x in row if x % 3) != 1:
-                perfect = False
-        for j in range(len(right)):
-            if sum(1 for row in matrix if row[j] % 3) != 1:
-                perfect = False
-        if not left:
-            perfect = True  # both sides zero: vacuously an isomorphism
+    # perfect: square, with one unit in every row and every column (both
+    # sides zero is vacuously an isomorphism)
+    perfect = len(left) == len(right) and all(
+        sum(1 for x in line if x % 3) == 1
+        for line in matrix + list(zip(*matrix)))
     return {
         "degree": k, "partner_degree": -k - 21,
         "rows": [_tmf3_label(g) for g in left],

@@ -685,7 +685,12 @@ class Series:
         from .algebra import ring_from_json
         if ring is None:
             ring = ring_from_json(obj["ring"])
-        vars = tuple(obj["vars"])
+        vars = obj["vars"]
+        if not (isinstance(vars, list) and all(isinstance(v, str) for v in vars)
+                and len(set(vars)) == len(vars)):
+            raise AlgebraError("'vars' must be a list of distinct variable "
+                               "names, got %r" % (vars,))
+        vars = tuple(vars)
         terms = {}
         for t in obj.get("terms", []):
             e = tuple(json_int(x, "integer exponent") for x in t["exp"])

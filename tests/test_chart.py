@@ -252,7 +252,80 @@ class TestModThree:
         assert runs == [(4, 4), (3, 3)]
 
 
+def _pair_by_labels(g, h):
+    """The duality pairing read off the generator labels: an oracle for the
+    pairing of chart classes."""
+    a, b = g["gen"], h["gen"]
+    if g["part"] == "tensor" and h["part"] == "tensor":
+        if a["order"] == 0 and b["order"] == 0:
+            la, lb = a["label"], b["label"]
+            if "dual" in la:
+                la, lb = lb, la
+            if "dual" in la or "dual" not in lb:
+                return 0
+            sa = 3 if la.startswith("3*") else 1
+            base_a = la[2:] if la.startswith("3*") else la
+            sb = 3 if lb.startswith("3*") else 1
+            base_b = lb[2:] if lb.startswith("3*") else lb
+            if base_b != "dual(%s)" % base_a:
+                return 0
+            return 1 if sa * sb == 3 else 0
+        return 0
+    if g["part"] == "tor" and h["part"] == "tor":
+        return 0
+    ten, tor = (g, h) if g["part"] == "tensor" else (h, g)
+    if ten["gen"]["order"] == 0:
+        return 0
+    return 1 if ten["degree"] + tor["degree"] == -22 else 0
+
+
+class TestGeneratorClasses:
+    def test_labels_are_read_off_the_classes(self):
+        for n in range(-80, 81):
+            for g in tmf_pi(n).gens:
+                if g["order"] == 0:
+                    assert g["label"] == chart._free_label(*g["class"]), n
+                elif n >= 0:
+                    assert g["detected_by"] == chart._tors_label(*g["class"])
+                else:
+                    assert g["label"] == chart._tors_label(*g["class"]), n
+
+    def test_dual_of_names_the_reflected_generator(self):
+        seen = 0
+        for n in range(-80, -20):
+            for g in tmf_pi(n).gens:
+                if g["order"] == 3:
+                    partner = [h["label"] for h in tmf_pi(-n - 22).gens
+                               if h["order"] == 3]
+                    assert [g["dual_of"]] == partner, n
+                    seen += 1
+        assert seen > 0
+
+    def test_provenance_is_read_off_the_scale(self):
+        # K^1 is the all-scaled part of the dual lattice
+        def provenance(n):
+            return [g["provenance"] for g in tmf_pi(n).gens]
+        assert provenance(24) == ["DM", "DM"]
+        assert provenance(27) == ["DM"]
+        assert provenance(-69) == ["K1", "K1", "DC"]
+        assert provenance(-32) == ["DC"]
+
+
 class TestDuality:
+    def test_pairing_of_classes_matches_the_label_oracle(self):
+        for k in range(-79, 59):
+            left = chart._tmf3_gens(k)
+            right = chart._tmf3_gens(-k - 21)
+            oracle = [[_pair_by_labels(g, h) for h in right] for g in left]
+            assert duality_check(k)["matrix"] == oracle, k
+
+    def test_a_zero_pairing_is_not_perfect(self, monkeypatch):
+        monkeypatch.setattr(chart, "_pair", lambda g, h: 0)
+        assert duality_check(0)["is_iso"] is False
+        for k in range(-79, 59):
+            out = duality_check(k)
+            assert out["is_iso"] is (not out["rows"]), k
+
     def test_unit_pairs_with_anchor(self):
         out = duality_check(0)
         assert out == {"degree": 0, "partner_degree": -21, "rows": ["1"],
@@ -407,6 +480,25 @@ class TestInternalAudits:
         for call in (tmf_pi, tmf_mod_p_pi, duality_check):
             with pytest.raises(InternalCheckError):
                 call(0)
+
+    @pytest.mark.parametrize("name", ["_dm_free_gens", "_dc_free_gens"])
+    def test_a_flipped_scale_fails_the_class_audit(self, name, monkeypatch):
+        # the audit compares (kind, monomial, scale) classes, not ranks: a
+        # presentation with one wrong scale has the right rank and is refused
+        full = getattr(chart, name)
+
+        def flipped(n):
+            classes = full(n)
+            if classes:
+                kind, mon, scale = classes[-1]
+                classes[-1] = (kind, mon, 3 // scale)
+            return classes
+        monkeypatch.setattr(chart, name, flipped)
+        degrees = [n for n in range(-80, 81) if full(n)]
+        assert degrees
+        for n in degrees:
+            with pytest.raises(InternalCheckError):
+                tmf_pi(n)
 
     def test_one_degree_chart_matches_the_whole_window(self):
         # tmf_pi audits degree n against descent_ss(n, n)

@@ -798,6 +798,19 @@ def test_negative_exponent_in_a_law_of_two_variables(capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", ["xy", ["x", "x"], ["x", 1]],
+                         ids=["string", "repeated", "non-string"])
+def test_law_vars_are_a_list_of_distinct_names(names, capsys):
+    # a string is not read letter by letter, and a repeated name does not
+    # fold two variables into one
+    law = additive_law()
+    law["F"]["vars"] = names
+    assert run_text(LANDWEBER, json.dumps(law_config(law=law))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: 'vars' must be a list of distinct")
+    assert repr(names) in err
+
+
 def poly_coeff(rng, shape):
     """A random coefficient of Q nested len(shape) deep, with shape[i]
     entries at level i."""
