@@ -638,13 +638,6 @@ class Poly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def evaluate(self, v):
-        R = self.ring
-        acc = R.zero
-        for c in reversed(self.coeffs):
-            acc = R.add(R.mul(acc, v), c)
-        return acc
-
     def derivative(self):
         R = self.ring
         return Poly(R, [R.mul(R.from_int(i), c)

@@ -21,8 +21,7 @@ generators; all torsion is elementary of order 3.
 from fractions import Fraction
 
 from .algebra import AlgebraError, InternalCheckError, is_prime, monomial_str
-from .modforms import (ModularForm, basis_monomials, dimension,
-                       monomial_label, monomial_weight)
+from .modforms import ModularForm, basis_monomials, dimension, monomial_label
 
 COEFFICIENTS = "Z_(3)"
 DEFAULT_S_MAX = 12
@@ -783,159 +782,6 @@ def k1_tmf_p2(n, M, A):
         "adic_precision": A,
         "relations_applied": relations,
     }
-
-
-# ---------------------------------------------------------------------------
-# label-algebra audits
-
-
-def dm_torsion_product(x, y):
-    """Product in the order-3 part of the DM presentation.
-
-    Monomials are (a, b, e, m) = alpha^a beta^b x^e Delta^(3m) with the
-    relations 3 = 0, alpha^2 = x^2 = beta^5 = alpha*beta^2 = x*beta^2 = 0
-    and alpha*x = beta^3.  Returns the normalized monomial or None for 0.
-    """
-    a = x[0] + y[0]
-    b = x[1] + y[1]
-    e = x[2] + y[2]
-    m = x[3] + y[3]
-    while a >= 1 and e >= 1:
-        a -= 1
-        e -= 1
-        b += 3
-    if a >= 2 or e >= 2 or b >= 5:
-        return None
-    if (a == 1 or e == 1) and b >= 2:
-        return None
-    return (a, b, e, m)
-
-
-def dm_torsion_degree(mon):
-    a, b, e, m = mon
-    return 3 * a + 10 * b + 27 * e + 72 * m
-
-
-def audit_dm_relations():
-    """Spot-check the presentation relations and degree additivity."""
-    alpha = (1, 0, 0, 0)
-    beta = (0, 1, 0, 0)
-    x = (0, 0, 1, 0)
-    checks = [
-        (dm_torsion_product(alpha, alpha), None),            # alpha^2 = 0
-        (dm_torsion_product(x, x), None),                    # x^2 = 0
-        (dm_torsion_product(alpha, (0, 2, 0, 0)), None),     # alpha*beta^2
-        (dm_torsion_product(x, (0, 2, 0, 0)), None),         # x*beta^2
-        (dm_torsion_product((0, 4, 0, 0), beta), None),      # beta^5 = 0
-        (dm_torsion_product(alpha, x), (0, 3, 0, 0)),        # alpha*x = beta^3
-    ]
-    for got, expect in checks:
-        if got != expect:
-            raise InternalCheckError("presentation relation audit failed")
-    mons = [alpha, beta, x, (0, 2, 0, 0), (0, 1, 1, 0), (1, 1, 0, 0)]
-    for u in mons:
-        for v in mons:
-            w = dm_torsion_product(u, v)
-            if w is not None:
-                if dm_torsion_degree(w) != dm_torsion_degree(u) + \
-                        dm_torsion_degree(v):
-                    raise InternalCheckError("degree additivity failed")
-            for z in mons:
-                left = dm_torsion_product(u, v)
-                left = dm_torsion_product(left, z) if left else None
-                right = dm_torsion_product(v, z)
-                right = dm_torsion_product(u, right) if right else None
-                if left != right:
-                    raise InternalCheckError("associativity audit failed")
-    return True
-
-
-def _torsion_in_page(page, shape):
-    """Is alpha^e beta^f Delta^c a torsion class of the given page?
-
-    E2 holds all shapes except alpha*Delta^c with c < 0 (those weights
-    belong to the dual lattices); E6 additionally requires the d5
-    survivors: 3 | c when alpha is absent, c = 2 mod 3 when alpha and
-    beta^(>=2) are both present.
-    """
-    e, f, c = shape
-    if e == 1 and f == 0 and c < 0:
-        return False
-    if (e, f) == (0, 0):
-        return False
-    if page == 2:
-        return True
-    if page == 6:
-        if e == 0:
-            return c % 3 == 0
-        if f >= 2:
-            return c % 3 == 2
-        return True
-    raise AlgebraError("only pages 2 and 6 carry differentials")
-
-
-def _mul_torsion(page, t1, t2):
-    """Product of two torsion monomials inside the given page's ring:
-    alpha^2 = 0 and classes absent from the page are zero there."""
-    e = t1[0] + t2[0]
-    if e >= 2:
-        return None
-    prod = (e, t1[1] + t2[1], t1[2] + t2[2])
-    return prod if _torsion_in_page(page, prod) else None
-
-
-def audit_derivations():
-    """d5 and d9 satisfy the graded Leibniz rule d(xy) = d(x)y +
-    (-1)^|x| x d(y) on the torsion algebra of their pages."""
-    for page, rule in ((2, d5_torsion), (6, d9_torsion)):
-        samples = [(e, f, c) for e in (0, 1) for f in (0, 1, 2, 3)
-                   for c in range(-5, 6)
-                   if _torsion_in_page(page, (e, f, c))]
-        for t1 in samples:
-            for t2 in samples:
-                prod = _mul_torsion(page, t1, t2)
-                lhs = {}
-                if prod is not None:
-                    r = rule(*prod)
-                    if r:
-                        lhs[r[1]] = (lhs.get(r[1], 0) + r[0]) % 3
-                rhs = {}
-                r = rule(*t1)
-                if r:
-                    tgt = _mul_torsion(page, r[1], t2)
-                    if tgt is not None:
-                        rhs[tgt] = (rhs.get(tgt, 0) + r[0]) % 3
-                r = rule(*t2)
-                if r:
-                    tgt = _mul_torsion(page, t1, r[1])
-                    if tgt is not None:
-                        sign = 2 if t1[0] % 2 else 1  # (-1)^deg, deg odd iff alpha
-                        rhs[tgt] = (rhs.get(tgt, 0) + sign * r[0]) % 3
-                lhs = {k: x for k, x in lhs.items() if x}
-                rhs = {k: x for k, x in rhs.items() if x}
-                if lhs != rhs:
-                    raise InternalCheckError(
-                        "Leibniz audit failed on %r * %r (page %d)"
-                        % (t1, t2, page))
-    return True
-
-
-def audit_degree_bookkeeping():
-    """Every class stored in the chart of the default window sits at (s, t)
-    with 2t - s equal to its label degree (alpha: 3, beta: 10, Delta: 24,
-    c4: 8, c6: 12, duals: -2k-21)."""
-    for page in descent_ss().pages:
-        for (s, t), ent in page.groups.entries.items():
-            n = 2 * t - s
-            for (kind, mon, _scale) in ent.free:
-                if kind == "mf" and 2 * monomial_weight(mon) != n:
-                    raise InternalCheckError("zero-line degree mismatch")
-                if kind == "dual" and -2 * monomial_weight(mon) - 21 != n:
-                    raise InternalCheckError("dual-lattice degree mismatch")
-            for (e, f, c) in ent.torsion:
-                if 3 * e + 10 * f + 24 * c != n:
-                    raise InternalCheckError("torsion degree mismatch")
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ from .series import Series, _solve_implicit
 
 
 # desk-scale cap on p^n, the precision a law needs to show v_n: on p^n_max
-# for a Landweber check, and on a Honda law's own p^n.  Honda laws take about
-# 0.6 s at p^n = 127 and 3.7 s at 251, but a Honda law of small p^n built
-# for a check of large p^n_max pays for the check's precision: its
-# associativity certificate grows like N^5, so Honda (2, 1) for n_max 7 at
-# p = 2 (precision 130) takes about 576 s, and validate takes 1.9 s on
-# Honda (3, 1) and 5.9 s on Honda (2, 1) at precision 60 (Python 3.11, 2 CPUs)
+# for a Landweber check, and on a Honda law's own p^n.  A Honda law of small
+# p^n built for a check of large p^n_max pays for the check's precision:
+# at precision 130, honda_fgl takes 1.7-2.2 s on Honda (2, 1) and 0.8-0.9 s
+# on Honda (3, 1), and a landweber check of Honda (2, 1) for n_max 7 at
+# p = 2 takes 2.0-2.5 s (Python 3.11, 2 CPUs)
 LAW_PRECISION_CAP = 128
 
 # desk-scale caps on a Landweber check: its degree bound, and the steps that
@@ -54,6 +53,44 @@ def _first_monomial(series):
     return series.sorted_terms()[0][0]
 
 
+def _check_unit_commutative(F):
+    """F(x, 0) = x, F(0, y) = y and F(x, y) = F(y, x) to F's precision;
+    raises FGLInvalid naming the first offending monomial."""
+    if len(F.vars) != 2:
+        raise AlgebraError("a formal group law needs exactly 2 variables")
+    R = F.ring
+    for axis, unit in ((1, (1, 0)), (0, (0, 1))):
+        bad = {e: c for e, c in F.terms.items() if e[axis] == 0}
+        if bad != {unit: R.one}:
+            bad.pop(unit, None)
+            if not bad:
+                bad = {unit: R.zero}
+            first = min(bad, key=lambda t: (sum(t), t))
+            raise FGLInvalid("unit axiom fails at %s" %
+                             monomial_str(F.vars, first))
+
+    bad = [(a, b) for (a, b), c in F.terms.items()
+           if not R.eq(F.coeff((b, a)), c)]
+    if bad:
+        first = min(bad, key=lambda t: (sum(t), t))
+        raise FGLInvalid("commutativity fails at %s" %
+                         monomial_str(F.vars, first))
+
+
+def _check_associative(F):
+    """F(F(x, y), z) = F(x, F(y, z)) to the precision of a commutative F;
+    raises FGLInvalid naming the first offending monomial."""
+    # with F commutative, F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x)
+    # for G = F(F(x, y), z): one substitution and a cyclic renaming
+    vx, vy = F.vars
+    tri = (vx, vy, "_z")
+    G = F.subst([F.rename(tri), Series.gen(F.ring, tri, F.precision, "_z")])
+    diff = G - G.rename(tri, [1, 2, 0])
+    if not diff.is_zero():
+        raise FGLInvalid("associativity fails at %s" %
+                         monomial_str(tri, _first_monomial(diff)))
+
+
 class FormalGroupLaw:
     """A certified 2-variable law F(x,y).  Use validate() to construct."""
 
@@ -75,39 +112,9 @@ class FormalGroupLaw:
         precision; raises FGLInvalid naming the first offending monomial.
         check_associativity=False skips the three-variable substitution for
         internal callers whose construction guarantees associativity."""
-        if len(F.vars) != 2:
-            raise AlgebraError("a formal group law needs exactly 2 variables")
-        R = F.ring
-        n = F.precision
-        vx, vy = F.vars
-
-        # F(x, 0) = x, then F(0, y) = y
-        for axis, unit in ((1, (1, 0)), (0, (0, 1))):
-            bad = {e: c for e, c in F.terms.items() if e[axis] == 0}
-            if bad != {unit: R.one}:
-                bad.pop(unit, None)
-                if not bad:
-                    bad = {unit: R.zero}
-                first = min(bad, key=lambda t: (sum(t), t))
-                raise FGLInvalid("unit axiom fails at %s" %
-                                 monomial_str(F.vars, first))
-
-        bad = [(a, b) for (a, b), c in F.terms.items()
-               if not R.eq(F.coeff((b, a)), c)]
-        if bad:
-            first = min(bad, key=lambda t: (sum(t), t))
-            raise FGLInvalid("commutativity fails at %s" %
-                             monomial_str(F.vars, first))
-
+        _check_unit_commutative(F)
         if check_associativity:
-            # with F commutative, F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x)
-            # for G = F(F(x, y), z): one substitution and a cyclic renaming
-            tri = (vx, vy, "_z")
-            G = F.subst([F.rename(tri), Series.gen(R, tri, n, "_z")])
-            diff = G - G.rename(tri, [1, 2, 0])
-            if not diff.is_zero():
-                raise FGLInvalid("associativity fails at %s" %
-                                 monomial_str(tri, _first_monomial(diff)))
+            _check_associative(F)
         return FormalGroupLaw(F, _certified=True)
 
     @staticmethod
@@ -277,9 +284,15 @@ def height_profile(fgl, bound):
 
 
 def honda_fgl(p, n, precision):
-    """The height-n law over F_p built from the logarithm
-    l(t) = sum t^(p^(n i)) / p^i; coefficients are checked p-integral before
-    reduction, the axioms re-certified, and the height asserted."""
+    """The height-n law F = e(l(x) + l(y)) over F_p built from the logarithm
+    l(t) = sum t^(p^(n i)) / p^i and its reversion e.
+
+    The law is certified by construction: e(l(t)) = t is checked over Q,
+    and a one-sided compositional inverse of t + O(t^2) is two-sided, so
+    l(e(t)) = t, l(F) = l(x) + l(y) and F is associative below the
+    precision, with no three-variable check.  Its coefficients are checked
+    p-integral, so reduction to F_p keeps associativity; the unit and
+    commutativity axioms are checked over F_p, and the height is asserted."""
     if not is_prime(p):
         raise AlgebraError("not prime: %d" % p)
     if n < 1:
@@ -295,6 +308,8 @@ def honda_fgl(p, n, precision):
         i += 1
     log = Series(QQ, ("t",), N, terms)
     exp = log.reverse()
+    if exp.compose(log) != Series.gen(QQ, ("t",), N, "t"):
+        raise InternalCheckError("the exponential fails e(l(t)) = t")
     lsum = log.rename(("x", "y"), [0]) + log.rename(("x", "y"), [1])
     F_q = exp.compose(lsum)
     Fp = PrimeField(p)
@@ -303,7 +318,8 @@ def honda_fgl(p, n, precision):
             raise InternalCheckError("non-p-integral coefficient at %s" % (e,))
     F_p_series = F_q.map_coeffs(
         lambda c: (c.numerator * pow(c.denominator, -1, p)) % p, Fp)
-    law = FormalGroupLaw.validate(F_p_series)
+    _check_unit_commutative(F_p_series)
+    law = FormalGroupLaw(F_p_series, _certified=True)
     hp = height_profile(law, n)
     if hp.height != n:
         raise InternalCheckError("constructed law has height %r, wanted %d" %

@@ -97,9 +97,6 @@ class ModularForm:
             return weights.pop()
         return "mixed"
 
-    def is_homogeneous(self):
-        return self.weight() != "mixed"
-
     def sorted_terms(self):
         """Terms sorted by (c, b, a), the basis enumeration order."""
         return sorted(self.terms.items(), key=lambda t: (t[0][2], t[0][1], t[0][0]))

@@ -6,13 +6,11 @@ import pytest
 
 from tmfkit import chart
 from tmfkit.algebra import AlgebraError, InternalCheckError
-from tmfkit.modforms import ModularForm, dimension
+from tmfkit.modforms import ModularForm, dimension, monomial_weight
 from tmfkit.chart import (
     coh_mell, d5_torsion, d9_torsion, descent_ss, einf_entry_rule,
     tmf_pi, tmf_pi_window, tmf_mod_p_pi, duality_check, lifts_to_homotopy,
-    k1_sphere, k1_tmf_p2, dm_torsion_product, dm_torsion_degree,
-    audit_dm_relations, audit_derivations, audit_degree_bookkeeping,
-    render_chart_text,
+    k1_sphere, k1_tmf_p2, render_chart_text,
 )
 
 
@@ -439,6 +437,155 @@ class TestK1TmfAtTwo:
         assert k1_tmf_p2(0, 5, 2)["rank"] == 5
 
 
+# ---------------------------------------------------------------------------
+# A second model of the order-3 algebra, written apart from chart.py, and the
+# audits that hold the chart's differentials and degrees against it.
+
+
+def dm_torsion_product(x, y):
+    """Product in the order-3 part of the DM presentation.
+
+    Monomials are (a, b, e, m) = alpha^a beta^b x^e Delta^(3m) with the
+    relations 3 = 0, alpha^2 = x^2 = beta^5 = alpha*beta^2 = x*beta^2 = 0
+    and alpha*x = beta^3.  Returns the normalized monomial or None for 0.
+    """
+    a = x[0] + y[0]
+    b = x[1] + y[1]
+    e = x[2] + y[2]
+    m = x[3] + y[3]
+    while a >= 1 and e >= 1:
+        a -= 1
+        e -= 1
+        b += 3
+    if a >= 2 or e >= 2 or b >= 5:
+        return None
+    if (a == 1 or e == 1) and b >= 2:
+        return None
+    return (a, b, e, m)
+
+
+def dm_torsion_degree(mon):
+    a, b, e, m = mon
+    return 3 * a + 10 * b + 27 * e + 72 * m
+
+
+def audit_dm_relations(product=dm_torsion_product):
+    """Spot-check the presentation relations, degree additivity and
+    associativity of the given product."""
+    alpha = (1, 0, 0, 0)
+    beta = (0, 1, 0, 0)
+    x = (0, 0, 1, 0)
+    checks = [
+        (product(alpha, alpha), None),            # alpha^2 = 0
+        (product(x, x), None),                    # x^2 = 0
+        (product(alpha, (0, 2, 0, 0)), None),     # alpha*beta^2
+        (product(x, (0, 2, 0, 0)), None),         # x*beta^2
+        (product((0, 4, 0, 0), beta), None),      # beta^5 = 0
+        (product(alpha, x), (0, 3, 0, 0)),        # alpha*x = beta^3
+    ]
+    for got, expect in checks:
+        assert got == expect, "presentation relation audit failed"
+    mons = [alpha, beta, x, (0, 2, 0, 0), (0, 1, 1, 0), (1, 1, 0, 0)]
+    for u in mons:
+        for v in mons:
+            w = product(u, v)
+            if w is not None:
+                assert dm_torsion_degree(w) == \
+                    dm_torsion_degree(u) + dm_torsion_degree(v), \
+                    "degree additivity failed"
+            for z in mons:
+                left = product(u, v)
+                left = product(left, z) if left else None
+                right = product(v, z)
+                right = product(u, right) if right else None
+                assert left == right, "associativity audit failed"
+
+
+def torsion_in_page(page, shape):
+    """Is alpha^e beta^f Delta^c a torsion class of the given page?
+
+    E2 holds all shapes except alpha*Delta^c with c < 0 (those weights
+    belong to the dual lattices); E6 additionally requires the d5
+    survivors: 3 | c when alpha is absent, c = 2 mod 3 when alpha and
+    beta^(>=2) are both present.
+    """
+    e, f, c = shape
+    if e == 1 and f == 0 and c < 0:
+        return False
+    if (e, f) == (0, 0):
+        return False
+    if page == 2:
+        return True
+    assert page == 6, "only pages 2 and 6 carry differentials"
+    if e == 0:
+        return c % 3 == 0
+    if f >= 2:
+        return c % 3 == 2
+    return True
+
+
+def mul_torsion(page, t1, t2):
+    """Product of two torsion monomials inside the given page's ring:
+    alpha^2 = 0 and classes absent from the page are zero there."""
+    e = t1[0] + t2[0]
+    if e >= 2:
+        return None
+    prod = (e, t1[1] + t2[1], t1[2] + t2[2])
+    return prod if torsion_in_page(page, prod) else None
+
+
+def audit_derivations():
+    """chart.d5_torsion and chart.d9_torsion, read at call time, satisfy the
+    graded Leibniz rule d(xy) = d(x)y + (-1)^|x| x d(y) on the torsion
+    algebra of their pages."""
+    for page, rule in ((2, chart.d5_torsion), (6, chart.d9_torsion)):
+        samples = [(e, f, c) for e in (0, 1) for f in (0, 1, 2, 3)
+                   for c in range(-5, 6)
+                   if torsion_in_page(page, (e, f, c))]
+        for t1 in samples:
+            for t2 in samples:
+                prod = mul_torsion(page, t1, t2)
+                lhs = {}
+                if prod is not None:
+                    r = rule(*prod)
+                    if r:
+                        lhs[r[1]] = (lhs.get(r[1], 0) + r[0]) % 3
+                rhs = {}
+                r = rule(*t1)
+                if r:
+                    tgt = mul_torsion(page, r[1], t2)
+                    if tgt is not None:
+                        rhs[tgt] = (rhs.get(tgt, 0) + r[0]) % 3
+                r = rule(*t2)
+                if r:
+                    tgt = mul_torsion(page, t1, r[1])
+                    if tgt is not None:
+                        sign = 2 if t1[0] % 2 else 1  # (-1)^deg, deg odd iff alpha
+                        rhs[tgt] = (rhs.get(tgt, 0) + sign * r[0]) % 3
+                lhs = {k: x for k, x in lhs.items() if x}
+                rhs = {k: x for k, x in rhs.items() if x}
+                assert lhs == rhs, "Leibniz audit failed on %r * %r (page %d)" \
+                    % (t1, t2, page)
+
+
+def audit_degree_bookkeeping():
+    """Every class stored in the chart of the default window sits at (s, t)
+    with 2t - s equal to its label degree (alpha: 3, beta: 10, Delta: 24,
+    c4: 8, c6: 12, duals: -2k-21)."""
+    for page in descent_ss().pages:
+        for (s, t), ent in page.groups.entries.items():
+            n = 2 * t - s
+            for (kind, mon, _scale) in ent.free:
+                if kind == "mf":
+                    assert 2 * monomial_weight(mon) == n, \
+                        "zero-line degree mismatch"
+                if kind == "dual":
+                    assert -2 * monomial_weight(mon) - 21 == n, \
+                        "dual-lattice degree mismatch"
+            for (e, f, c) in ent.torsion:
+                assert 3 * e + 10 * f + 24 * c == n, "torsion degree mismatch"
+
+
 class TestTorsionAlgebra:
     def test_squares_vanish(self):
         alpha = (1, 0, 0, 0)
@@ -467,10 +614,26 @@ class TestTorsionAlgebra:
     def test_relation_audit_runs_clean(self):
         audit_dm_relations()
 
+    def test_relation_audit_refuses_a_wrong_relation(self):
+        # alpha*x = beta^2 in place of beta^3
+        def wrong(u, v):
+            w = dm_torsion_product(u, v)
+            return (0, 2, 0, 0) if w == (0, 3, 0, 0) else w
+        with pytest.raises(AssertionError, match="relation audit"):
+            audit_dm_relations(wrong)
+
 
 class TestInternalAudits:
     def test_differentials_are_derivations(self):
         audit_derivations()
+
+    def test_derivation_audit_refuses_a_broken_leibniz_rule(self, monkeypatch):
+        def shifted(e, f, c):
+            r = d5_torsion(e, f, c)
+            return r and ((r[0] + 1) % 3, r[1])
+        monkeypatch.setattr(chart, "d5_torsion", shifted)
+        with pytest.raises(AssertionError, match="Leibniz audit failed"):
+            audit_derivations()
 
     def test_every_route_through_tmf_pi_is_audited(self, monkeypatch):
         # a presentation that loses a generator disagrees with E-infinity,

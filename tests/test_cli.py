@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmfkit import cli
+from tmfkit import cli, fgl
 from tmfkit.algebra import (InternalCheckError, POLY_COEFF_CAP,
                             RING_DEPTH_CAP, SMITH_BITS_CAP, ring_from_json)
 from tmfkit.fgl import LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP
@@ -215,6 +215,19 @@ class TestLandweber:
         code, out = run_cli(["landweber", "--config", cfg])
         assert code == 0
         assert json.loads(out)["verdict"] == "fail at stage 0"
+
+    def test_honda_at_the_law_precision_cap(self, tmp_path, monkeypatch):
+        # p^n_max = 128, so the law is built at precision 130; a Honda law
+        # is certified by construction, without the three-variable check
+        checked = []
+        monkeypatch.setattr(fgl, "_check_associative", checked.append)
+        cfg = self.write_config(tmp_path, {
+            "law": {"honda": {"p": 2, "n": 1}}, "p": 2, "n_max": 7})
+        start = time.monotonic()
+        code, out = run_cli(["landweber", "--config", cfg])
+        assert code == 0 and time.monotonic() - start < 5
+        assert json.loads(out)["verdict"] == "fail at stage 0"
+        assert checked == []
 
     def test_explicit_series_law(self, tmp_path):
         F = {"ring": {"kind": "Integers"}, "vars": ["x", "y"],

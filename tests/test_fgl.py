@@ -327,6 +327,38 @@ class TestHonda:
         with pytest.raises(AlgebraError):
             honda_fgl(4, 1, 10)
 
+    # top: the largest precision at which the three-variable check took
+    # under 1 s (Python 3.11, 2 CPUs)
+    @pytest.mark.parametrize("p,n,top", [
+        (2, 1, 45), (2, 2, 110), (3, 1, 56), (3, 2, 162), (5, 1, 72),
+        (5, 2, 282)])
+    def test_certificate_agrees_with_the_associativity_check(self, p, n,
+                                                             top):
+        # the top, the lowest precisions and each one at which a term of
+        # the logarithm enters; the law at a lower precision is the
+        # truncation of the law at the top, so the oracle passing there
+        # covers every precision in between
+        top_law = honda_fgl(p, n, top)          # certified by construction
+        FormalGroupLaw.validate(top_law.F)      # the three-variable oracle
+        entries = [p ** (n * i) + 1 for i in range(1, 8)]
+        for N in {*range(p ** n + 1, p ** n + 9),
+                  *(N for N in entries if N < top)}:
+            law = honda_fgl(p, n, N)
+            assert law.F == top_law.F.truncate(N)
+            FormalGroupLaw.validate(law.F)
+
+    def test_a_wrong_reversion_fails_the_certificate(self, monkeypatch):
+        reverse = Series.reverse
+
+        def wrong(f):
+            g = reverse(f)
+            terms = dict(g.terms)
+            terms[(5,)] = g.ring.add(g.coeff((5,)), g.ring.one)
+            return Series(g.ring, g.vars, g.precision, terms)
+        monkeypatch.setattr(Series, "reverse", wrong)
+        with pytest.raises(InternalCheckError, match=r"e\(l\(t\)\) = t"):
+            honda_fgl(3, 1, 12)
+
 
 class TestPresentation:
     def test_gens_and_relations(self):

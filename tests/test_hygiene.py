@@ -1,8 +1,9 @@
 """Source hygiene, checked with ast: no module in src/tmfkit keeps an unused
-import, or a private function, class or method that nothing refers to; no
-coefficient ring keeps a method that nothing names; only algebra.py spells
-out the monomial label format.  The README's table of input caps states
-every cap the library enforces."""
+import, or a private function, class or method that nothing refers to, or a
+public function or class that nothing in src/ names; no coefficient ring
+keeps a method that nothing names; only algebra.py spells out the monomial
+label format.  The README's table of input caps states every cap the
+library enforces."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,25 @@ def test_no_unreferenced_private_definitions():
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in used]
     assert unreferenced == []
+
+
+def test_every_public_definition_is_named_in_src():
+    """Every top-level public function or class of src/tmfkit is named in
+    src/ outside its own definition (a name, an attribute, an imported name
+    or an __all__ entry): the library keeps no code that only tests run."""
+    defined, used = [], set()
+    for path in MODULES:
+        for node in parse(path).body:
+            names = names_used(node) | {
+                alias.name for sub in ast.walk(node)
+                if isinstance(sub, ast.ImportFrom) for alias in sub.names}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if not node.name.startswith("_"):
+                    defined.append((path.name, node.name))
+            used |= names
+    assert defined
+    assert ["%s:%s" % d for d in defined if d[1] not in used] == []
 
 
 def test_one_monomial_printer():

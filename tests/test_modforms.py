@@ -56,7 +56,7 @@ class TestBasis:
 
     def test_basis_forms_are_homogeneous(self):
         for f in basis(36):
-            assert f.is_homogeneous() and f.weight() == 36
+            assert f.weight() == 36     # a single weight, not "mixed"
 
 
 class TestNormalForm:
@@ -121,7 +121,6 @@ class TestNormalForm:
     def test_weight_of_mixed_sum(self):
         f = ModularForm.generator("c4") + ModularForm.generator("c6")
         assert f.weight() == "mixed"
-        assert not f.is_homogeneous()
 
 
 class TestQExpansions:
