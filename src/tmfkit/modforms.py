@@ -3,11 +3,12 @@
 The graded ring M_* = Z[c4, c6, Delta] / (c4^3 - c6^2 = 1728*Delta) over a
 pluggable coefficient ring (Z, Q, Z[1/2], Z localized at a prime, F_p):
 normal forms, weight bases and dimensions, and q-expansions obtained by the
-Eisenstein substitution c4 -> E4(q), c6 -> -E6(q).
+Eisenstein substitution c4 -> E4(q), c6 -> -E6(q), worked out over Z with each
+power by J.C.P. Miller's recurrence.  Nothing is cached between calls.
 """
 
-from functools import lru_cache
 from math import comb
+from operator import mul, sub
 
 from .algebra import (ZZ, AlgebraError, InternalCheckError,
                       abelian_group_structure, json_int, monomial_str, power)
@@ -16,10 +17,18 @@ from .series import Series
 #: weight of each polynomial generator
 GENERATOR_WEIGHTS = {"c4": 4, "c6": 6, "Delta": 12}
 
-#: desk-scale caps on a weight (of a basis, or of a monomial to expand) and
-#: on a q-precision
+#: desk-scale caps on a weight (of a basis, or of a monomial to expand), on
+#: a q-precision, and on the work of a q-expansion, (min(weight, N) + 100)
+#: (N + 50)^2 steps a monomial: a coefficient's size grows with its weight
+#: up to about N.  The work cap admits one monomial of weight N or more at
+#: the precision cap.  At N = 1000, c4 + c6 takes 0.01 s, j 0.8 s, c4^2500
+#: 0.9 s, and the heaviest monomials, c4^a Delta^c near WEIGHT_CAP, 1.9-4.5 s
+#: (the product of two powers with big coefficients); forms that fill the
+#: work cap with lighter monomials, at N from 1 to 1000, take 0.2-3.8 s:
+#: within a budget of 5 s a call (Python 3.11, 2 CPUs)
 WEIGHT_CAP = 10000
 QEXP_PRECISION_CAP = 1000
+QEXP_WORK_CAP = (QEXP_PRECISION_CAP + 100) * (QEXP_PRECISION_CAP + 50) ** 2
 
 
 def monomial_weight(mon):
@@ -223,11 +232,15 @@ def normal_form(raw, ring=ZZ):
 # weight bases
 
 
-def basis_monomials(k):
-    """Monomials (a, b, c) of weight k with b <= 1, in (c, b, a) lex order."""
+def _check_weight(k):
     if k > WEIGHT_CAP:
         raise AlgebraError("weight %d exceeds the desk-scale cap %d"
                            % (k, WEIGHT_CAP))
+
+
+def basis_monomials(k):
+    """Monomials (a, b, c) of weight k with b <= 1, in (c, b, a) lex order."""
+    _check_weight(k)
     if k < 0:
         return []
     out = []
@@ -245,65 +258,89 @@ def basis(k, ring=ZZ):
 
 
 def dimension(k):
-    return len(basis_monomials(k))
+    """len(basis_monomials(k)) in closed form: k // 12 + 1 for even k >= 0,
+    one less when k = 2 mod 12."""
+    _check_weight(k)
+    if k < 0 or k % 2:
+        return 0
+    return k // 12 + (k % 12 != 2)
 
 
 # ---------------------------------------------------------------------------
 # q-expansions
 
 
-def _sigma(n, k):
-    """Divisor power sum sigma_k(n)."""
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += d ** k
-    return total
-
-
-@lru_cache(maxsize=None)
-def _eisenstein(k, N):
-    """E4 or E6 as a Series over Z to q-precision N."""
-    mult = {4: 240, 6: -504}[k]
-    terms = {(0,): 1}
+def _power(f, k, N):
+    """The first N coefficients of f^k, for a list f of N or more ints with
+    f[0] = 1, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    n g_n = sum_{j=1..n} ((k+1) j - n) f_j g_{n-j}, exact in Z."""
+    if k == 1:
+        return f[:N]
+    jf = [j * x for j, x in enumerate(f[:N])]
+    g = [1]
     for n in range(1, N):
-        terms[(n,)] = mult * _sigma(n, k - 1)
-    return Series(ZZ, ("q",), N, terms)
+        rev = g[::-1]
+        a = sum(map(mul, jf[1:n + 1], rev))
+        b = sum(map(mul, f[1:n + 1], rev))
+        g.append(((k + 1) * a - n * b) // n)
+    return g
 
 
-@lru_cache(maxsize=None)
-def _delta_qexp(N):
-    """Delta = (E4^3 - E6^2)/1728 over Z; the division must be exact."""
-    num = _eisenstein(4, N) ** 3 - _eisenstein(6, N) ** 2
-    terms = {}
-    for e, c in num.terms.items():
-        q, r = divmod(c, 1728)
+def _generators(N, delta):
+    """E4 and E6 by a divisor sieve and, if delta, D = Delta/q by the exact
+    division Delta = (E4^3 - E6^2)/1728: N ints over Z each (D else None)."""
+    e4 = [1] + [0] * N
+    e6 = [1] + [0] * N
+    for d in range(1, N + 1):
+        t3, t5 = 240 * d ** 3, 504 * d ** 5
+        for m in range(d, N + 1, d):
+            e4[m] += t3
+            e6[m] -= t5
+    if not delta:
+        return e4[:N], e6[:N], None
+    num = map(sub, _power(e4, 3, N + 1), _power(e6, 2, N + 1))
+    d = []
+    for n, x in enumerate(num):
+        q, r = divmod(x, 1728)
         if r:
             raise InternalCheckError(
-                "Delta q-expansion not integral at q^%d" % e[0])
-        terms[e] = q
-    return Series(ZZ, ("q",), num.precision, terms)
+                "Delta q-expansion not integral at q^%d" % n)
+        d.append(q)
+    return e4[:N], e6[:N], d[1:]
 
 
-@lru_cache(maxsize=None)
-def _gen_qexp(name, N):
-    if name == "c4":
-        return _eisenstein(4, N)
-    if name == "c6":
-        return _eisenstein(6, N).scale(-1)
-    if name == "Delta":
-        return _delta_qexp(N)
-    raise AlgebraError("unknown generator %r" % (name,))
-
-
-@lru_cache(maxsize=None)
-def _mono_qexp(a, b, c, N):
-    """q-expansion of c4^a c6^b Delta^c over Z (precision at least N)."""
-    s = Series.one(ZZ, ("q",), N)
-    for name, e in (("c4", a), ("c6", b), ("Delta", c)):
+def _mono_qexp(a, b, c, gens):
+    """q-expansion of c4^a c6^b Delta^c over Z, as (-1)^b E4^a E6^b q^c D^c,
+    to at least the precision N of the lists ``gens`` from _generators."""
+    M = max(len(gens[0]) - c, 1)
+    s = Series.constant(ZZ, ("q",), M, (-1) ** b)
+    for f, e in zip(gens, (a, b, c)):
         if e:
-            s = s * _gen_qexp(name, N) ** e
-    return s
+            s = s * Series(ZZ, ("q",), M,
+                           {(n,): x for n, x in enumerate(_power(f, e, M))})
+    return s.shift(c)
+
+
+def _check_precision(N):
+    if N < 1:
+        raise AlgebraError("q-precision must be at least 1")
+    if N > QEXP_PRECISION_CAP:
+        raise AlgebraError("q-precision %d exceeds the desk-scale cap %d"
+                           % (N, QEXP_PRECISION_CAP))
+
+
+def _check_work(weights, N):
+    """Refuse to expand monomials to q-precision N when the work, for each
+    (weight, count) pair, count * (min(weight, N) + 100) * (N + 50)^2 steps,
+    is past QEXP_WORK_CAP."""
+    monomials = work = 0
+    for w, count in weights:
+        monomials += count
+        work += count * (min(w, N) + 100) * (N + 50) ** 2
+    if work > QEXP_WORK_CAP:
+        raise AlgebraError("expanding %d monomials to q-precision %d, work "
+                           "%d, exceeds the desk-scale cap %d"
+                           % (monomials, N, work, QEXP_WORK_CAP))
 
 
 def q_expansion(f, N):
@@ -313,20 +350,18 @@ def q_expansion(f, N):
     the form's coefficient ring, so integrality never depends on dividing
     by 1728 inside the target ring.
     """
-    if N < 1:
-        raise AlgebraError("q-precision must be at least 1")
-    if N > QEXP_PRECISION_CAP:
-        raise AlgebraError("q-precision %d exceeds the desk-scale cap %d"
-                           % (N, QEXP_PRECISION_CAP))
+    _check_precision(N)
     for mon in f.terms:
         if monomial_weight(mon) > WEIGHT_CAP:
             raise AlgebraError("monomial %s of weight %d exceeds the desk-scale "
                                "cap %d" % (monomial_label(mon),
                                            monomial_weight(mon), WEIGHT_CAP))
+    _check_work([(monomial_weight(mon), 1) for mon in f.terms], N)
+    gens = _generators(N, any(c for _, _, c in f.terms))
     R = f.ring
     out = {}
     for (a, b, c), coeff in f.sorted_terms():
-        for e, n in _mono_qexp(a, b, c, N).terms.items():
+        for e, n in _mono_qexp(a, b, c, gens).terms.items():
             v = R.mul(coeff, R.from_int(n))
             out[e] = R.add(out[e], v) if e in out else v
     return Series(R, ("q",), N, out)
@@ -337,15 +372,10 @@ def j_q_expansion(N):
 
     The returned series shows exponents -1 .. N-2 (N terms) for N >= 2.
     """
-    if N < 1:
-        raise AlgebraError("precision must be at least 1")
-    if N > QEXP_PRECISION_CAP:
-        raise AlgebraError("q-precision %d exceeds the desk-scale cap %d"
-                           % (N, QEXP_PRECISION_CAP))
+    _check_precision(N)
     work = max(N, 2) + 1
-    num = _mono_qexp(3, 0, 0, work)
-    den = _delta_qexp(work)
-    j = num.divide_exact(den)
+    gens = _generators(work, True)
+    j = _mono_qexp(3, 0, 0, gens).divide_exact(_mono_qexp(0, 0, 1, gens))
     if j.coeff((-1,)) != 1:
         raise InternalCheckError("j-expansion must start with q^-1")
     if j.coeff((0,)) != 744:
@@ -368,8 +398,10 @@ def qexp_injectivity_check(k_max, N):
     the minimal number of q-coefficients needed to see it; weights where N
     was too small are listed under 'not_visible' (a report, not an error).
     """
-    if N < 1:
-        raise AlgebraError("q-precision must be at least 1")
+    _check_precision(N)
+    # from the top weight down, so a weight past WEIGHT_CAP is refused at once
+    _check_work([(k, dimension(k)) for k in range(k_max, -1, -1)], N)
+    gens = _generators(N, True)
     weights = {}
     not_visible = []
     for k in range(0, k_max + 1):
@@ -380,11 +412,11 @@ def qexp_injectivity_check(k_max, N):
             continue
         rows = []
         for (a, b, c) in mons:
-            s = _mono_qexp(a, b, c, N)
+            s = _mono_qexp(a, b, c, gens)
             rows.append([s.coeff((i,)) for i in range(N)])
         min_terms = None
-        for m in range(1, N + 1):
-            # the rank over Q is m minus the free rank of Z^m / (row span)
+        # the rank over Q, m minus the free rank of Z^m / (row span), is <= m
+        for m in range(d, N + 1):
             free, _ = abelian_group_structure(m, [row[:m] for row in rows])
             if m - free == d:
                 min_terms = m

@@ -490,8 +490,11 @@ class TestDeskScaleCaps:
         (["modforms", "qexp", "--precision", "100"],
          '{"ring": {"kind": "Integers"}, '
          '"terms": [{"a": 100000, "b": 0, "c": 0, "coeff": 1}]}'),
+        (["modforms", "qexp", "--precision", "1000"],
+         '{"ring": {"kind": "Integers"}, '
+         '"terms": [{"a": 0, "b": 60, "c": 0, "coeff": 1}]}'),
     ], ids=["basis-weight", "qexp-precision", "curve-precision",
-            "qexp-monomial-weight"])
+            "qexp-monomial-weight", "qexp-work"])
     def test_exits_two_quickly(self, argv, stdin, monkeypatch, capsys):
         start = time.monotonic()
         code, _ = run_cli(argv, stdin, monkeypatch if stdin else None)

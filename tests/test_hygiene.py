@@ -15,7 +15,7 @@ from tmfkit.algebra import (POLY_COEFF_CAP, PRIMALITY_CAP, RING_DEPTH_CAP,
                             SMITH_BITS_CAP)
 from tmfkit.fgl import (LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP,
                         LAW_PRECISION_CAP)
-from tmfkit.modforms import QEXP_PRECISION_CAP, WEIGHT_CAP
+from tmfkit.modforms import QEXP_PRECISION_CAP, QEXP_WORK_CAP, WEIGHT_CAP
 from tmfkit.weierstrass import CURVE_PRECISION_CAP, SS_PRIME_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +98,26 @@ def test_every_public_definition_is_named_in_src():
     assert ["%s:%s" % d for d in defined if d[1] not in used] == []
 
 
+def test_no_process_wide_caches():
+    """No function in src/tmfkit is memoized by functools.lru_cache or
+    functools.cache: a result never depends on what ran before it in the
+    process, and nothing is held for the life of the process."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = [node.attr]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name in ("lru_cache", "cache")]
+    assert found == []
+
+
 def test_one_monomial_printer():
     """The label format x*y^2 is written out once, in algebra.monomial_str:
     the literal "%s^%d" occurs in no other module."""
@@ -133,6 +153,9 @@ CAPS = [
     (WEIGHT_CAP, "q_expansion"),
     (QEXP_PRECISION_CAP, "q_expansion"),
     (QEXP_PRECISION_CAP, "j_q_expansion"),
+    (QEXP_PRECISION_CAP, "qexp_injectivity_check"),
+    (QEXP_WORK_CAP, "q_expansion"),
+    (QEXP_WORK_CAP, "qexp_injectivity_check"),
     (LAW_PRECISION_CAP, "honda_fgl"),
     (LAW_PRECISION_CAP, "height_profile"),
     (LAW_PRECISION_CAP, "landweber_regularity"),

@@ -1,6 +1,7 @@
 """The weight-graded ring generated by c4, c6, Delta modulo
 c6^2 = c4^3 - 1728*Delta, its monomial bases, and integral q-expansions."""
 
+import random
 import time
 
 import pytest
@@ -11,7 +12,8 @@ from tmfkit.series import Series
 from tmfkit.modforms import (
     ModularForm, normal_form, basis, basis_monomials, dimension,
     q_expansion, j_q_expansion, qexp_injectivity_check, monomial_label,
-    WEIGHT_CAP, _mono_qexp,
+    QEXP_PRECISION_CAP, QEXP_WORK_CAP, WEIGHT_CAP, _check_work, _generators,
+    _mono_qexp, _power,
 )
 
 
@@ -32,6 +34,43 @@ def eta_product_delta(N):
         factor = one - Series(ZZ, ("q",), N, {(n,): 1})
         acc = acc * (factor ** 24)
     return acc.shift(1).truncate(N)
+
+
+def _sigma(n, k):
+    """Divisor power sum sigma_k(n) by trial division: the oracle for the
+    divisor sieve."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            total += d ** k
+    return total
+
+
+def int_series(coeffs):
+    """A list of ints as a q-series over Z at precision len(coeffs)."""
+    return Series(ZZ, ("q",), len(coeffs),
+                  {(n,): x for n, x in enumerate(coeffs)})
+
+
+def reference_generators(N):
+    """E4 and c6 = -E6 from divisor sums, and Delta from the eta product,
+    as series over Z at precision N."""
+    e4 = int_series([1] + [240 * _sigma(n, 3) for n in range(1, N)])
+    c6 = int_series([-1] + [504 * _sigma(n, 5) for n in range(1, N)])
+    return e4, c6, eta_product_delta(N)
+
+
+def reference_q_expansion(f, gens):
+    """q-expansion by square-and-multiply Series powers over Z, coerced
+    into the form's ring monomial by monomial."""
+    R = f.ring
+    N = gens[0].precision
+    out = Series.zero(R, ("q",), N)
+    for (a, b, c), co in f.sorted_terms():
+        z = (gens[0] ** a * gens[1] ** b * gens[2] ** c).truncate(N)
+        out = out + z.map_coeffs(lambda n, _co=co: R.mul(_co, R.from_int(n)),
+                                 R)
+    return out
 
 
 class TestBasis:
@@ -164,27 +203,20 @@ class TestQExpansions:
         e4 = q_expansion(ModularForm.generator("c4", F), 5)
         assert [e4.coeff((k,)) for k in range(5)] == [1, 0, 0, 0, 0]
 
-    def test_cancelling_monomials_over_z4(self, monkeypatch):
+    def test_cancelling_monomials_over_z4(self):
         # mod 4, c4 = c6 = 1 and c4^3 Delta = Delta as q-series: only the
         # constant 1 + 3 + 2 = 2 survives
         R = IntegersMod(4)
         f = ModularForm(R, {(1, 0, 0): 1, (2, 0, 0): 3, (0, 1, 0): 2,
                             (3, 0, 1): 1, (0, 0, 1): 3})
         N = 12
+        gens = _generators(N, True)
         old = Series.zero(R, ("q",), N)
         for (a, b, c), co in f.sorted_terms():
-            old = old + _mono_qexp(a, b, c, N).truncate(N).map_coeffs(
+            old = old + _mono_qexp(a, b, c, gens).truncate(N).map_coeffs(
                 lambda n, _co=co: R.mul(_co, R.from_int(n)), R)
-        built = []
-        init = Series.__init__
-
-        def spy(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(Series, "__init__", spy)
         got = q_expansion(f, N)
         assert got == old and got.terms == {(0,): 2}
-        assert len(built) == 1   # the monomial expansions are cached
 
     def test_monomial_weight_cap(self):
         # c4^(cap/4) is the heaviest monomial expanded; one c4 more is refused
@@ -195,11 +227,68 @@ class TestQExpansions:
                            "desk-scale cap %d" % (4 * top + 4, WEIGHT_CAP)):
             q_expansion(ModularForm(ZZ, {(top + 1, 0, 0): 1}), 3)
 
+    def test_work_cap(self):
+        N = QEXP_PRECISION_CAP
+        # c6^60 is 31 monomials of weight 360 in normal form
+        f = normal_form({(0, 60, 0): 1})
+        with pytest.raises(AlgebraError, match="expanding 31 monomials to "
+                           "q-precision %d, work %d, exceeds the desk-scale "
+                           "cap %d" % (N, 31 * 460 * 1050 ** 2,
+                                       QEXP_WORK_CAP)):
+            q_expansion(f, N)
+        # light monomials are cheap at the top precision
+        e = q_expansion(ModularForm.generator("c4")
+                        + ModularForm.generator("c6"), N)
+        assert [e.coeff((n,)) for n in range(3)] == [0, 240 + 504,
+                                                     2160 + 16632]
+        # one monomial of weight N or more fits at the top precision, and
+        # two of weight WEIGHT_CAP are refused before anything is expanded
+        _check_work([(WEIGHT_CAP, 1)], N)
+        two = ModularForm(ZZ, {(2500, 0, 0): 1, (2200, 0, 100): 1})
+        start = time.monotonic()
+        with pytest.raises(AlgebraError, match="expanding 2 monomials to "
+                           "q-precision %d" % N):
+            q_expansion(two, N)
+        assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("N", [1, 2, 13, 60])
+    def test_matches_square_and_multiply(self, N):
+        rng = random.Random(N)
+        gens = reference_generators(N)
+        for R in (ZZ, PrimeField(3), IntegersMod(4)):
+            for _ in range(3):
+                f = ModularForm(R, {
+                    (rng.randint(0, 9), rng.randint(0, 1), rng.randint(0, 4)):
+                    R.from_int(rng.randint(-30, 30))
+                    for _ in range(rng.randint(1, 4))})
+                assert q_expansion(f, N) == reference_q_expansion(f, gens), f
+
     def test_constant_weight_zero(self):
         f = ModularForm.constant(ZZ, 5)
         q = q_expansion(f, 5)
         assert q.coeff((0,)) == 5 and all(
             q.coeff((k,)) == 0 for k in range(1, 5))
+
+
+class TestMillerPower:
+    @pytest.mark.parametrize("N", [1, 2, 17, 300])
+    def test_matches_square_and_multiply(self, N):
+        rng = random.Random(N)
+        lists = list(_generators(N, True)) + [
+            [1] + [rng.randint(-99, 99) for _ in range(N - 1)]
+            for _ in range(2)]
+        for f in lists:
+            for k in (0, 1, 2, 3, 7, 60):
+                assert int_series(_power(f, k, N)) == int_series(f) ** k, k
+
+    def test_sieve_matches_divisor_sums(self):
+        N = 40
+        e4, c6, delta = reference_generators(N + 1)
+        gens = _generators(N, True)
+        assert int_series(gens[0]) == e4.truncate(N)
+        assert int_series(gens[1]) == c6.scale(-1).truncate(N)
+        assert int_series(gens[2]).shift(1) == delta
+        assert _generators(N, False) == (gens[0], gens[1], None)
 
 
 class TestJExpansion:
@@ -229,6 +318,29 @@ class TestInjectivity:
         rep = qexp_injectivity_check(36, 8)
         assert rep["all_independent"]
         assert rep["not_visible"] == []
+
+    def test_caps(self):
+        with pytest.raises(AlgebraError, match="q-precision 1001 exceeds "
+                           "the desk-scale cap %d" % QEXP_PRECISION_CAP):
+            qexp_injectivity_check(12, 1001)
+        assert qexp_injectivity_check(12, 1000)["all_independent"]
+        # weights 0..18 have 12 basis monomials in all
+        dims = [(0, 1), (4, 1), (6, 1), (8, 1), (10, 1), (12, 2), (14, 1),
+                (16, 2), (18, 2)]
+        work = sum((k + 100) * d for k, d in dims) * 1050 ** 2
+        with pytest.raises(AlgebraError, match="expanding 12 monomials to "
+                           "q-precision 1000, work %d, exceeds the "
+                           "desk-scale cap %d" % (work, QEXP_WORK_CAP)):
+            qexp_injectivity_check(18, 1000)
+        # the refusal counts the bases in closed form, without listing them
+        start = time.monotonic()
+        with pytest.raises(AlgebraError, match="expanding %d monomials"
+                           % sum(map(dimension, range(WEIGHT_CAP + 1)))):
+            qexp_injectivity_check(WEIGHT_CAP, 1)
+        with pytest.raises(AlgebraError, match="weight %d exceeds"
+                           % (WEIGHT_CAP + 1)):
+            qexp_injectivity_check(WEIGHT_CAP + 1, 2)
+        assert time.monotonic() - start < 5
 
     def test_insufficient_precision_reported(self):
         # two q-coefficients separate at most two forms
