@@ -622,12 +622,12 @@ class Poly:
         R = self.ring
         if other.is_zero():
             raise NotDivisible("polynomial division by zero")
-        lead_inv = R.inv(other.leading())
+        inv_lead = R.inv(other.leading())
         rem = list(self.coeffs)
         d = other.degree()
         q = [R.zero] * max(0, len(rem) - d)
         for i in range(len(rem) - 1 - d, -1, -1):
-            c = R.mul(rem[i + d], lead_inv)
+            c = R.mul(rem[i + d], inv_lead)
             if R.is_zero(c):
                 continue
             q[i] = c

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
                       ZZ, QQ, PrimeField, IntegersMod, is_prime,
-                      smith_normal_form, integer_kernel, in_column_span,
-                      monomial_str)
+                      power, smith_normal_form, integer_kernel,
+                      in_column_span, monomial_str)
 from .series import Series, _solve_implicit
 
 
@@ -21,6 +21,13 @@ from .series import Series, _solve_implicit
 # on Honda (3, 1), and a landweber check of Honda (2, 1) for n_max 7 at
 # p = 2 takes 2.0-2.5 s (Python 3.11, 2 CPUs)
 LAW_PRECISION_CAP = 128
+
+# desk-scale cap on the steps that _honda_work estimates for building a Honda
+# law.  The heaviest law it allows for each p^n <= 128 (precision 156 for
+# Honda (2, 1), 202 for (3, 1), 733 for (127, 1)) takes 0.8-2.3 s (Python
+# 3.11, 2 CPUs); every law the CLI builds, at precision 130 or less, is
+# inside it
+HONDA_WORK_CAP = 6 * 10 ** 8
 
 # desk-scale caps on a Landweber check: its degree bound, and the steps that
 # _landweber_work estimates for it.  At the work cap the slowest
@@ -45,6 +52,14 @@ def law_precision(p, n):
         raise AlgebraError("p^n = %d^%d exceeds the desk-scale cap %d"
                            % (p, n, LAW_PRECISION_CAP))
     return p ** n
+
+
+def _honda_work(q, N):
+    """Estimated steps to build the Honda law of p^n = q at precision N:
+    about N^3 to revert the logarithm, and N^4 / (q - 1)^1.5 to form
+    e(l(x) + l(y)), for the exponential has terms only in the degrees
+    = 1 mod q - 1."""
+    return int(N ** 3 * (1 + N / (q - 1) ** 1.5))
 
 
 def _first_monomial(series):
@@ -92,7 +107,8 @@ def _check_associative(F):
 
 
 class FormalGroupLaw:
-    """A certified 2-variable law F(x,y).  Use validate() to construct."""
+    """A certified 2-variable law F(x,y).  Use validate() to construct.  A
+    law keeps no memo: every method computes its result from F alone."""
 
     def __init__(self, F, _certified=False):
         if not _certified:
@@ -101,8 +117,6 @@ class FormalGroupLaw:
         self.ring = F.ring
         self.precision = F.precision
         self.vars = F.vars
-        self._nseries = {}
-        self._inverse = None
 
     # -- construction -------------------------------------------------------
 
@@ -141,39 +155,28 @@ class FormalGroupLaw:
         """i(t) with F(t, i(t)) = 0: _solve_implicit with H = F, whose
         linear coefficient in y is 1 (F(x, y) = x + y + higher terms).  The
         closing check is F(t, i) = 0 at the full precision."""
-        if self._inverse is not None:
-            return self._inverse
         R = self.ring
         n = self.precision
         t = Series.gen(R, ("t",), n, "t")
         inv = Series(R, ("t",), n, _solve_implicit(R, self.F.terms, n))
         if not self.F.subst([t, inv]).is_zero():
             raise InternalCheckError("formal inverse failed to close")
-        self._inverse = inv
         return inv
 
     def n_series(self, m):
-        """[m](t); negative m via the formal inverse.  For m > 1, [k] =
-        F(t, [k - 1]) is built up from the largest [k] known below m, and
-        every [k] on the way is kept."""
-        if m in self._nseries:
-            return self._nseries[m]
+        """[m](t) by square and multiply on the law's sum F(u, v): O(log |m|)
+        substitutions, at most 2 bit_length(|m|).  Negative m composes [-m]
+        with the formal inverse.  The grouping relies on F being associative
+        below its precision, which a FormalGroupLaw certifies (a caller of
+        validate(F, check_associativity=False) vouches for it)."""
+        if m < 0:
+            return self.n_series(-m).compose(self.formal_inverse())
         R = self.ring
         n = self.precision
-        t = Series.gen(R, ("t",), n, "t")
         if m == 0:
-            out = Series.zero(R, ("t",), n)
-        elif m == 1:
-            out = t
-        elif m > 1:
-            known = max((k for k in self._nseries if 1 <= k < m), default=1)
-            out = self.n_series(known)
-            for k in range(known + 1, m + 1):
-                out = self._nseries[k] = self.F.subst([t, out])
-        else:
-            out = self.n_series(-m).compose(self.formal_inverse())
-        self._nseries[m] = out
-        return out
+            return Series.zero(R, ("t",), n)
+        t = Series.gen(R, ("t",), n, "t")
+        return power(t, m - 1, t, self.add)
 
     def invariant_differential(self):
         """The coefficient series of the canonical invariant differential,
@@ -292,7 +295,8 @@ def honda_fgl(p, n, precision):
     l(e(t)) = t, l(F) = l(x) + l(y) and F is associative below the
     precision, with no three-variable check.  Its coefficients are checked
     p-integral, so reduction to F_p keeps associativity; the unit and
-    commutativity axioms are checked over F_p, and the height is asserted."""
+    commutativity axioms are checked over F_p, and the height is asserted.
+    The build's estimated work is checked against HONDA_WORK_CAP first."""
     if not is_prime(p):
         raise AlgebraError("not prime: %d" % p)
     if n < 1:
@@ -301,6 +305,11 @@ def honda_fgl(p, n, precision):
     if precision <= need:
         raise AlgebraError("raise precision (need N > p^%d = %d)" % (n, need))
     N = precision
+    work = _honda_work(need, N)
+    if work > HONDA_WORK_CAP:
+        raise AlgebraError("the law's estimated work at precision %d, %d "
+                           "steps, exceeds the desk-scale cap %d"
+                           % (N, work, HONDA_WORK_CAP))
     terms = {}
     i = 0
     while p ** (n * i) < N:
@@ -496,6 +505,8 @@ def landweber_regularity(pres, fgl, p, n_max, degree_bound):
         if k == 0:
             v = p
         else:
+            # past stage 0, v_1 is 0 or a unit mod p: the check fails here or
+            # the quotient is zero, so [p](t) is formed once, or never
             v = fgl.n_series(p).coeff((p ** k,))
             if current_mod:
                 v %= current_mod

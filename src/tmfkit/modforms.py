@@ -298,7 +298,8 @@ def _generators(N, delta):
             e6[m] -= t5
     if not delta:
         return e4[:N], e6[:N], None
-    num = map(sub, _power(e4, 3, N + 1), _power(e6, 2, N + 1))
+    num = map(sub, _power(e4, 3, N + 1),
+              (sum(map(mul, e6[:n + 1], e6[n::-1])) for n in range(N + 1)))
     d = []
     for n, x in enumerate(num):
         q, r = divmod(x, 1728)

@@ -50,7 +50,6 @@ class WeierstrassCurve:
     def __init__(self, ring, a1, a2, a3, a4, a6):
         self.ring = ring
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
-        self._inv = None
 
     @classmethod
     def from_ints(cls, ring, a1, a2, a3, a4, a6):
@@ -61,8 +60,6 @@ class WeierstrassCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def invariants(self):
-        if self._inv is not None:
-            return self._inv
         R = self.ring
         a1, a2, a3, a4, a6 = self.a_invariants()
         i = R.from_int
@@ -82,8 +79,7 @@ class WeierstrassCurve:
                        R.neg(R.mul(i(8), R.pow(b4, 3))),
                        R.neg(R.mul(i(27), R.pow(b6, 2))),
                        R.mul(i(9), R.mul(b2, R.mul(b4, b6)))])
-        self._inv = CurveInvariants(R, b2, b4, b6, b8, c4, c6, delta)
-        return self._inv
+        return CurveInvariants(R, b2, b4, b6, b8, c4, c6, delta)
 
     def is_smooth(self):
         return self.ring.is_unit(self.invariants().delta)

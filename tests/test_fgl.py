@@ -5,6 +5,7 @@ homomorphism checks, graded presentations, and the regular-sequence
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +14,14 @@ from tmfkit import fgl
 from tmfkit.algebra import (
     AlgebraError, InternalCheckError, ZZ, QQ, PrimeField, IntegersMod,
     LocalizedIntegers, QuadExtField, smith_normal_form, integer_kernel,
-    monomial_str,
+    monomial_str, is_prime,
 )
 from tmfkit.series import Series
 from tmfkit.fgl import (
     FormalGroupLaw, FGLInvalid, honda_fgl, height_profile,
     check_homomorphism, GradedRingPresentation, landweber_regularity,
-    LAW_PRECISION_CAP, LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP,
+    HONDA_WORK_CAP, LAW_PRECISION_CAP, LANDWEBER_DEGREE_CAP,
+    LANDWEBER_WORK_CAP,
 )
 from tmfkit.weierstrass import WeierstrassCurve, formal_group
 
@@ -347,6 +349,25 @@ class TestHonda:
             assert law.F == top_law.F.truncate(N)
             FormalGroupLaw.validate(law.F)
 
+    def test_precision_past_the_work_cap_is_refused(self):
+        cap = "exceeds the desk-scale cap %d" % HONDA_WORK_CAP
+        with pytest.raises(AlgebraError, match=cap):
+            honda_fgl(2, 1, 260)
+        # the heaviest Honda (2, 1) law the cap allows is at precision 156
+        assert fgl._honda_work(2, 156) <= HONDA_WORK_CAP
+        with pytest.raises(AlgebraError, match=cap):
+            honda_fgl(2, 1, 157)
+
+    def test_work_cap_admits_every_precision_the_cli_asks(self):
+        # the CLI builds a Honda law at precision at most 130, for any
+        # p^n <= LAW_PRECISION_CAP
+        prime_powers = [p ** n for p in range(2, LAW_PRECISION_CAP + 1)
+                        if is_prime(p) for n in range(1, 8)
+                        if p ** n <= LAW_PRECISION_CAP]
+        assert len(prime_powers) == 44
+        assert all(fgl._honda_work(q, 130) <= HONDA_WORK_CAP
+                   for q in prime_powers)
+
     def test_a_wrong_reversion_fails_the_certificate(self, monkeypatch):
         reverse = Series.reverse
 
@@ -542,3 +563,96 @@ def test_n_series_composes_multiplicatively(n, m):
     F = FormalGroupLaw.multiplicative(ZZ, 7)
     assert F.n_series(n).compose(F.n_series(m)).agrees_with(
         F.n_series(n * m))
+
+
+def plain_n_series(law, top):
+    """{m: [m](t)} for -6 <= m <= top by the plain loop [k] = F(s, [k - 1])
+    from [0] = 0, with s = t upwards and s = i(t), the formal inverse,
+    downwards: one substitution per step, grouped from the left."""
+    R, n = law.ring, law.precision
+    out = {}
+    for step, ms in ((Series.gen(R, ("t",), n, "t"), range(1, top + 1)),
+                     (law.formal_inverse(), range(-1, -7, -1))):
+        acc = out[0] = Series.zero(R, ("t",), n)
+        for m in ms:
+            acc = out[m] = law.F.subst([step, acc])
+    return out
+
+
+def criterion_5_laws(count, N=12):
+    """Laws over Q made as criterion 5 makes them, F = e(l(x) + l(y)) for a
+    seeded random logarithm l, and validated without the associativity
+    check, which their construction vouches for."""
+    rng = random.Random(5)
+    gx = Series.gen(QQ, ("x", "y"), N, "x")
+    gy = Series.gen(QQ, ("x", "y"), N, "y")
+    laws = []
+    for _ in range(count):
+        terms = {(1,): QQ.one}
+        for k in range(2, N):
+            num = rng.randint(-6, 6)
+            if num:
+                terms[(k,)] = Fraction(num, rng.choice([1, 2, 3, 4, 5]))
+        log = Series(QQ, ("t",), N, terms)
+        lx = log.rename(("x", "y"), [0]).subst([gx, gy])
+        ly = log.rename(("x", "y"), [1]).subst([gx, gy])
+        laws.append(FormalGroupLaw.validate(log.reverse().compose(lx + ly),
+                                            check_associativity=False))
+    return laws
+
+
+def test_n_series_matches_the_plain_loop():
+    """Square and multiply on F gives the terms and precision of the plain
+    loop, on Honda laws, additive and multiplicative laws, curve laws, and
+    laws over Q certified by their construction alone."""
+    laws = [honda_fgl(*args) for args in
+            ((2, 1, 20), (3, 1, 30), (2, 2, 18), (5, 1, 27), (3, 2, 12))]
+    for R in (ZZ, PrimeField(5), IntegersMod(12), QQ):
+        laws += [FormalGroupLaw.additive(R, 9),
+                 FormalGroupLaw.multiplicative(R, 9)]
+    for R in (QQ, ZZ, PrimeField(7), IntegersMod(4)):
+        curve = WeierstrassCurve.from_ints(R, 1, -1, 1, 0, 2)
+        laws.append(formal_group(curve, 10)["fgl"])
+    laws += criterion_5_laws(6)
+    ms = [*range(-6, 18), 31, 64, 97]
+    for law in laws:
+        want = plain_n_series(law, max(ms))
+        for m in ms:
+            got = law.n_series(m)
+            assert (got.terms, got.precision) == \
+                (want[m].terms, want[m].precision), (law, m)
+
+
+def test_n_series_takes_logarithmically_many_sums(monkeypatch):
+    calls = []
+    add = FormalGroupLaw.add
+
+    def counted(self, u, v):
+        calls.append(1)
+        return add(self, u, v)
+    monkeypatch.setattr(FormalGroupLaw, "add", counted)
+    m = 5000
+    F = FormalGroupLaw.multiplicative(ZZ, 6)
+    assert F.n_series(m).terms == {(k,): math.comb(m, k) for k in range(1, 6)}
+    assert 0 < len(calls) <= 2 * m.bit_length()
+
+
+def test_landweber_forms_the_p_series_once_or_never(monkeypatch):
+    """[p](t) is formed only at a stage k >= 1 that runs, and one at most
+    runs: with n_max = 0 it is never formed, so even p = 999983 answers at
+    once."""
+    calls = []
+    n_series = FormalGroupLaw.n_series
+
+    def counted(self, m):
+        calls.append(m)
+        return n_series(self, m)
+    monkeypatch.setattr(FormalGroupLaw, "n_series", counted)
+    law = FormalGroupLaw.multiplicative(ZZ, 3)
+    out = landweber_regularity(GradedRingPresentation(), law, 999983, 0, 4)
+    assert out["verdict"] == "pass" and calls == []
+    law = FormalGroupLaw.multiplicative(ZZ, 30)
+    out = landweber_regularity(GradedRingPresentation(), law, 3, 3, 4)
+    assert [s["status"] for s in out["stages"]] == \
+        ["injective", "injective", "vacuous", "vacuous"]
+    assert calls == [3]

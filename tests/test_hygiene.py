@@ -2,8 +2,8 @@
 import, or a private function, class or method that nothing refers to, or a
 public function or class that nothing in src/ names; no coefficient ring
 keeps a method that nothing names; only algebra.py spells out the monomial
-label format.  The README's table of input caps states every cap the
-library enforces."""
+label format; no object keeps state that its methods write.  The README's
+table of input caps states every cap the library enforces."""
 
 import ast
 from pathlib import Path
@@ -13,8 +13,8 @@ import pytest
 from tmfkit import algebra
 from tmfkit.algebra import (POLY_COEFF_CAP, PRIMALITY_CAP, RING_DEPTH_CAP,
                             SMITH_BITS_CAP)
-from tmfkit.fgl import (LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP,
-                        LAW_PRECISION_CAP)
+from tmfkit.fgl import (HONDA_WORK_CAP, LANDWEBER_DEGREE_CAP,
+                        LANDWEBER_WORK_CAP, LAW_PRECISION_CAP)
 from tmfkit.modforms import QEXP_PRECISION_CAP, QEXP_WORK_CAP, WEIGHT_CAP
 from tmfkit.weierstrass import CURVE_PRECISION_CAP, SS_PRIME_CAP
 
@@ -118,6 +118,48 @@ def test_no_process_wide_caches():
     assert found == []
 
 
+def writes_self_attribute(target):
+    """Does an assignment to target store into an attribute of self: self.a,
+    self.a[k], self.a.b, or such a target inside a tuple or list?"""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(writes_self_attribute(e) for e in target.elts)
+    if isinstance(target, ast.Starred):
+        return writes_self_attribute(target.value)
+    through_attribute = False
+    while isinstance(target, (ast.Attribute, ast.Subscript)):
+        through_attribute |= isinstance(target, ast.Attribute)
+        target = target.value
+    return (through_attribute and isinstance(target, ast.Name)
+            and target.id == "self")
+
+
+def test_no_method_writes_to_self_after_init():
+    """No method of a class in src/tmfkit other than __init__ assigns to an
+    attribute of self, plainly, augmented or by subscript: an object keeps
+    no memo, so what a method returns never depends on what was asked of
+    the object before."""
+    found = []
+    for path in MODULES:
+        for cls in ast.walk(parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name == "__init__"):
+                    continue
+                for node in ast.walk(method):
+                    if isinstance(node, ast.Assign):
+                        targets = node.targets
+                    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                        targets = [node.target]
+                    else:
+                        continue
+                    if any(map(writes_self_attribute, targets)):
+                        found.append("%s:%d %s.%s" % (path.name, node.lineno,
+                                                      cls.name, method.name))
+    assert found == []
+
+
 def test_one_monomial_printer():
     """The label format x*y^2 is written out once, in algebra.monomial_str:
     the literal "%s^%d" occurs in no other module."""
@@ -157,6 +199,7 @@ CAPS = [
     (QEXP_WORK_CAP, "q_expansion"),
     (QEXP_WORK_CAP, "qexp_injectivity_check"),
     (LAW_PRECISION_CAP, "honda_fgl"),
+    (HONDA_WORK_CAP, "honda_fgl"),
     (LAW_PRECISION_CAP, "height_profile"),
     (LAW_PRECISION_CAP, "landweber_regularity"),
     (LANDWEBER_DEGREE_CAP, "landweber_regularity"),
