@@ -52,19 +52,16 @@ from .weierstrass import (
 )
 from .modforms import (
     ModularForm,
-    basis,
     basis_monomials,
     dimension,
     q_expansion,
     j_q_expansion,
-    qexp_injectivity_check,
 )
 from .chart import (
     coh_mell,
     descent_ss,
     tmf_pi,
     tmf_pi_window,
-    tmf_mod_p_pi,
     duality_check,
     lifts_to_homotopy,
     k1_sphere,
@@ -84,9 +81,9 @@ __all__ = [
     "GradedRingPresentation", "landweber_regularity",
     "WeierstrassCurve", "formal_group", "hasse_invariant",
     "supersingular_polynomial", "SupersingularReport",
-    "ModularForm", "basis", "basis_monomials", "dimension",
-    "q_expansion", "j_q_expansion", "qexp_injectivity_check",
-    "coh_mell", "descent_ss", "tmf_pi", "tmf_pi_window", "tmf_mod_p_pi",
+    "ModularForm", "basis_monomials", "dimension",
+    "q_expansion", "j_q_expansion",
+    "coh_mell", "descent_ss", "tmf_pi", "tmf_pi_window",
     "duality_check", "lifts_to_homotopy", "k1_sphere", "k1_tmf_p2",
     "render_chart_text",
     "__version__",

@@ -130,8 +130,6 @@ class Ring:
         return 0
 
     def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
         return power(a, n, self.one, self.mul)
 
     def sum(self, items):
@@ -544,14 +542,6 @@ class Poly:
     def constant(cls, ring, c):
         return cls(ring, [c])
 
-    @classmethod
-    def x(cls, ring):
-        return cls(ring, [ring.zero, ring.one])
-
-    @classmethod
-    def from_ints(cls, ring, ints):
-        return cls(ring, [ring.from_int(n) for n in ints])
-
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
@@ -697,12 +687,15 @@ def minimal_polynomial(field, a):
 # The curve families over a base need F_p[T]; at depth 3, curve invariants
 # over Q[T][S][U] inside POLY_COEFF_CAP take about 10 s
 RING_DEPTH_CAP = 2
-# desk-scale cap on the base coefficients of one polynomial coefficient read
-# from a payload, counted through the nesting: curve invariants reach degree
-# 12 in the a-invariants, so their cost grows steeply with it.  At the cap,
-# curve invariants over Q[T] or Q[T][S] with one-digit coefficients take
-# under 2 s; the cap counts the coefficients, not their size
+# desk-scale caps on one polynomial coefficient read from a payload: on its
+# base coefficients, counted through the nesting, and, over characteristic 0,
+# where the coefficients grow, on the bit lengths of their numerators and
+# denominators, summed.  Curve invariants reach degree 12 in the
+# a-invariants, so their cost grows steeply with both.  At the caps, curve
+# invariants over Q[T] take under 0.5 s and over Q[T][S] 2.1-3.0 s, the
+# 4x3 and 3x4 shapes being the slowest (Python 3.11, 2 CPUs)
 POLY_COEFF_CAP = 12
+POLY_BITS_CAP = 256
 
 
 class PolynomialRing(Ring):
@@ -762,6 +755,15 @@ class PolynomialRing(Ring):
             return sum(self.base._width(c) for c in obj)
         return len(obj)
 
+    def _bits(self, a):
+        """The bit lengths of the numerators and denominators of the base
+        coefficients of a, a payload of this ring over characteristic 0 (ints
+        or Fractions at the bottom), summed through the nesting."""
+        if isinstance(self.base, PolynomialRing):
+            return sum(map(self.base._bits, a.coeffs))
+        return sum(c.numerator.bit_length() + c.denominator.bit_length()
+                   for c in a.coeffs)
+
     def coeff_from_json(self, obj):
         if not isinstance(obj, list):
             raise AlgebraError("expected coefficient list, got %r" % (obj,))
@@ -770,7 +772,12 @@ class PolynomialRing(Ring):
             raise AlgebraError("%d base coefficients in one polynomial "
                                "coefficient exceed the desk-scale cap %d"
                                % (width, POLY_COEFF_CAP))
-        return Poly(self.base, [self.base.coeff_from_json(c) for c in obj])
+        a = Poly(self.base, [self.base.coeff_from_json(c) for c in obj])
+        bits = self._bits(a) if self.characteristic() == 0 else 0
+        if bits > POLY_BITS_CAP:
+            raise AlgebraError("%d bits in one polynomial coefficient exceed "
+                               "the desk-scale cap %d" % (bits, POLY_BITS_CAP))
+        return a
 
     def coeff_str(self, a):
         return a.to_string(self.var)
@@ -881,20 +888,6 @@ def smith_normal_form(mat):
         raise AlgebraError("a Smith-form transform entry of %d bits exceeds "
                            "the desk-scale cap %d" % (bits, SMITH_BITS_CAP))
     return a, U, V
-
-
-def abelian_group_structure(n_gens, relations):
-    """Z^n modulo the span of relation rows -> (free_rank, [torsion orders])."""
-    if n_gens == 0:
-        return 0, []
-    if not relations:
-        return n_gens, []
-    mat = [list(r) for r in relations]
-    D, _, _ = smith_normal_form(mat)
-    diags = [D[i][i] for i in range(min(len(D), n_gens)) if D[i][i] != 0]
-    torsion = sorted(d for d in diags if d > 1)
-    free = n_gens - len(diags)
-    return free, torsion
 
 
 def in_column_span(smith, target):

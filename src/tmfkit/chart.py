@@ -7,8 +7,8 @@ and d9, generated by d9(alpha*Delta^2) = beta^5), and assembles the homotopy
 of the global-sections spectrum in a degree window from the non-negative
 (DM) and negative (DC/K^1) presentations.  The two routes -- spectral
 sequence and presentation -- are cross-checked on every call: tmf_pi runs
-the spectral sequence on the degree it answers, so the mod-3 groups and the
-duality pairing, which are built from tmf_pi, are audited too.  The
+the spectral sequence on the degree it answers, so the duality pairing and
+the mod-3 groups it pairs, which are built from tmf_pi, are audited too.  The
 (-21)-shifted duality of the mod-3 homotopy is verified by an explicit
 pairing matrix.
 
@@ -609,21 +609,6 @@ def _tmf3_gens(n):
 def _tmf3_label(wrapped):
     base = wrapped["gen"]["label"]
     return base if wrapped["part"] == "tensor" else "Tor(%s)" % base
-
-
-def tmf_mod_p_pi(n):
-    """pi_n of the mod-3 theory via the cofiber splitting
-    (pi_n tensor Z/3) + Tor(pi_(n-1), Z/3); the chart engine is 3-local,
-    so the report's "p" is always 3."""
-    gens = _tmf3_gens(n)
-    rank = len(gens)
-    return {
-        "degree": n, "p": 3,
-        "group": "0" if rank == 0 else
-                 ("Z/3" if rank == 1 else "(Z/3)^%d" % rank),
-        "rank": rank,
-        "gens": [_tmf3_label(g) for g in gens],
-    }
 
 
 def _pair(g, h):

@@ -10,8 +10,8 @@ power by J.C.P. Miller's recurrence.  Nothing is cached between calls.
 from math import comb
 from operator import mul, sub
 
-from .algebra import (ZZ, AlgebraError, InternalCheckError,
-                      abelian_group_structure, json_int, monomial_str, power)
+from .algebra import (ZZ, AlgebraError, InternalCheckError, json_int,
+                      monomial_str, power)
 from .series import Series
 
 #: weight of each polynomial generator
@@ -252,11 +252,6 @@ def basis_monomials(k):
     return out
 
 
-def basis(k, ring=ZZ):
-    """Monomial basis of the weight-k piece as ModularForms."""
-    return [ModularForm(ring, {mon: ring.one}) for mon in basis_monomials(k)]
-
-
 def dimension(k):
     """len(basis_monomials(k)) in closed form: k // 12 + 1 for even k >= 0,
     one less when k = 2 mod 12."""
@@ -331,17 +326,14 @@ def _check_precision(N):
 
 
 def _check_work(weights, N):
-    """Refuse to expand monomials to q-precision N when the work, for each
-    (weight, count) pair, count * (min(weight, N) + 100) * (N + 50)^2 steps,
-    is past QEXP_WORK_CAP."""
-    monomials = work = 0
-    for w, count in weights:
-        monomials += count
-        work += count * (min(w, N) + 100) * (N + 50) ** 2
+    """Refuse to expand monomials of these weights to q-precision N when the
+    work, (min(weight, N) + 100) * (N + 50)^2 steps a monomial, is past
+    QEXP_WORK_CAP."""
+    work = sum((min(w, N) + 100) * (N + 50) ** 2 for w in weights)
     if work > QEXP_WORK_CAP:
         raise AlgebraError("expanding %d monomials to q-precision %d, work "
                            "%d, exceeds the desk-scale cap %d"
-                           % (monomials, N, work, QEXP_WORK_CAP))
+                           % (len(weights), N, work, QEXP_WORK_CAP))
 
 
 def q_expansion(f, N):
@@ -357,7 +349,7 @@ def q_expansion(f, N):
             raise AlgebraError("monomial %s of weight %d exceeds the desk-scale "
                                "cap %d" % (monomial_label(mon),
                                            monomial_weight(mon), WEIGHT_CAP))
-    _check_work([(monomial_weight(mon), 1) for mon in f.terms], N)
+    _check_work([monomial_weight(mon) for mon in f.terms], N)
     gens = _generators(N, any(c for _, _, c in f.terms))
     R = f.ring
     out = {}
@@ -384,49 +376,3 @@ def j_q_expansion(N):
     if j.precision > 1 and j.coeff((1,)) != 196884:
         raise InternalCheckError("j-expansion q-coefficient must be 196884")
     return j
-
-
-# ---------------------------------------------------------------------------
-# q-expansion injectivity report
-
-
-def qexp_injectivity_check(k_max, N):
-    """Check that q-expansion is injective on each weight piece k <= k_max.
-
-    Expands the weight-k basis to precision N over Z and takes the rank over
-    Q from the Smith form of the coefficient matrix.
-    Reports, per weight, whether the expansions are linearly independent and
-    the minimal number of q-coefficients needed to see it; weights where N
-    was too small are listed under 'not_visible' (a report, not an error).
-    """
-    _check_precision(N)
-    # from the top weight down, so a weight past WEIGHT_CAP is refused at once
-    _check_work([(k, dimension(k)) for k in range(k_max, -1, -1)], N)
-    gens = _generators(N, True)
-    weights = {}
-    not_visible = []
-    for k in range(0, k_max + 1):
-        mons = basis_monomials(k)
-        d = len(mons)
-        if d == 0:
-            weights[k] = {"dim": 0, "independent": True, "min_terms": 0}
-            continue
-        rows = []
-        for (a, b, c) in mons:
-            s = _mono_qexp(a, b, c, gens)
-            rows.append([s.coeff((i,)) for i in range(N)])
-        min_terms = None
-        # the rank over Q, m minus the free rank of Z^m / (row span), is <= m
-        for m in range(d, N + 1):
-            free, _ = abelian_group_structure(m, [row[:m] for row in rows])
-            if m - free == d:
-                min_terms = m
-                break
-        independent = min_terms is not None
-        weights[k] = {"dim": d, "independent": independent,
-                      "min_terms": min_terms}
-        if not independent:
-            not_visible.append(k)
-    return {"k_max": k_max, "N": N, "weights": weights,
-            "not_visible": not_visible,
-            "all_independent": not not_visible}

@@ -61,8 +61,7 @@ from functools import reduce
 from math import inf, lcm
 from operator import itemgetter, mul
 
-from .algebra import (AlgebraError, NotDivisible, InternalCheckError,
-                      json_int, monomial_str, power)
+from .algebra import AlgebraError, NotDivisible, json_int, monomial_str, power
 
 
 def _packing(k, n):
@@ -577,19 +576,16 @@ class Series:
         return Series(R, self.vars, n, out)
 
     def divide_exact(self, g):
-        """f/g by the first of three routes that applies:
+        """f/g by the first of two routes that applies:
 
         1. g is a power series with unit constant term: f * g.inverse_unit().
         2. one variable, and the coefficient of g's lowest term t^v is a
            unit: shift g down by v, invert, multiply, and shift back.
-        3. otherwise, leading-term elimination (_eliminate), which raises
-           NotDivisible on the first inexact step.
 
-        On routes 2 and 3 the result's precision drops by the valuation v of
-        g, and by a further v − val(f) when f starts lower than g (the
-        quotient's low terms consume that much of the known window).
-        A quotient of one variable may have a pole; one of several variables
-        with a negative exponent is NotDivisible."""
+        Otherwise NotDivisible, naming g's lowest term.  On route 2 the
+        result's precision drops by v, and by a further v − val(f) when f
+        starts lower than g (the quotient's low terms consume that much of
+        the known window); the quotient may have a pole."""
         self._align(g)
         R = self.ring
         if g.is_zero():
@@ -597,6 +593,10 @@ class Series:
         if not g._has_pole() and R.is_unit(g.constant_term()):
             return self * g.inverse_unit()
         v = g.valuation()
+        if len(self.vars) > 1 or not R.is_unit(g.coeff((v,))):
+            lead = g._like(dict(g.sorted_terms()[:1]))
+            raise NotDivisible("the divisor's lowest term %s is not a unit "
+                               "times a power of one variable" % lead)
         if self.is_zero():
             n = min(self.precision, g.precision) - max(v, 0)
             return Series.zero(R, self.vars, n)
@@ -604,48 +604,8 @@ class Series:
         n = min(self.precision, g.precision) - v - max(0, v - vf)
         if n < 1:
             raise AlgebraError("division would exhaust the precision")
-        if len(self.vars) == 1 and R.is_unit(g.coeff((v,))):
-            q = (self * g.shift(-v).inverse_unit()).shift(-v).terms
-        else:
-            q = self._eliminate(g, v, n)
+        q = (self * g.shift(-v).inverse_unit()).shift(-v).terms
         return Series(R, self.vars, n, q)
-
-    def _eliminate(self, g, v, n):
-        """Quotient terms of f/g below degree n by leading-term elimination:
-        repeatedly divide the least remaining term of f, by (degree,
-        exponent), by g's lex-least term of degree v, and subtract that
-        quotient term times g.  Each step is forced, so the quotient is
-        exact only if every step is; an inexact step raises NotDivisible,
-        and so does a negative quotient exponent in several variables."""
-        R = self.ring
-        lead = min(e for e in g.terms if sum(e) == v)
-        lc = g.terms[lead]
-        rem = dict(self.terms)
-        out = {}
-        guard = 0
-        while rem:
-            guard += 1
-            if guard > 200000:
-                raise InternalCheckError("division failed to terminate")
-            e = min(rem, key=lambda x: (sum(x), x))
-            if sum(e) - v >= n:
-                # everything left is beyond the result precision
-                break
-            q_exp = tuple(a - b for a, b in zip(e, lead))
-            if len(q_exp) > 1 and min(q_exp) < 0:
-                raise NotDivisible("not divisible")
-            q_c = R.divide(rem[e], lc)
-            out[q_exp] = q_c
-            for ge, gc in g.terms.items():
-                ne = tuple(a + b for a, b in zip(q_exp, ge))
-                if sum(ne) >= n + v:
-                    continue
-                s = R.sub(rem.get(ne, R.zero), R.mul(q_c, gc))
-                if R.is_zero(s):
-                    rem.pop(ne, None)
-                else:
-                    rem[ne] = s
-        return out
 
     # -- reversion ----------------------------------------------------------
 

@@ -9,7 +9,7 @@ from tmfkit.algebra import AlgebraError, InternalCheckError
 from tmfkit.modforms import ModularForm, dimension, monomial_weight
 from tmfkit.chart import (
     coh_mell, d5_torsion, d9_torsion, descent_ss, einf_entry_rule,
-    tmf_pi, tmf_pi_window, tmf_mod_p_pi, duality_check, lifts_to_homotopy,
+    tmf_pi, tmf_pi_window, duality_check, lifts_to_homotopy,
     k1_sphere, k1_tmf_p2, render_chart_text,
 )
 
@@ -223,22 +223,27 @@ class TestHomotopyGroups:
             assert tmf_pi(n).group_string() == rep.group_string()
 
 
+def mod_three_labels(n):
+    """The generator labels of pi_n of the mod-3 theory, as duality_check
+    prints them."""
+    return [chart._tmf3_label(g) for g in chart._tmf3_gens(n)]
+
+
 class TestModThree:
     def test_tensor_part(self):
-        rep = tmf_mod_p_pi(3)
-        assert rep["group"] == "Z/3" and rep["gens"] == ["alpha"]
-        assert rep["p"] == 3
+        assert mod_three_labels(3) == ["alpha"]
+        assert duality_check(3)["rows"] == ["alpha"]
 
     def test_tor_part_shifts_up_one(self):
-        rep = tmf_mod_p_pi(4)
-        assert rep["gens"] == ["Tor(alpha)"]
+        assert mod_three_labels(4) == ["Tor(alpha)"]
 
     def test_unit_degree(self):
-        assert tmf_mod_p_pi(0)["gens"] == ["1"]
+        assert mod_three_labels(0) == ["1"]
+        assert duality_check(-21)["cols"] == ["1"]
 
     def test_duality_anchor_degree(self):
-        rep = tmf_mod_p_pi(-21)
-        assert rep["group"] == "Z/3" and rep["gens"] == ["3*dual(1)"]
+        assert mod_three_labels(-21) == ["3*dual(1)"]
+        assert duality_check(-21)["rows"] == ["3*dual(1)"]
 
     def test_each_degree_is_read_once(self, monkeypatch):
         # one audited tmf_pi for degree n and one for n - 1
@@ -246,7 +251,7 @@ class TestModThree:
         ss = chart.descent_ss
         monkeypatch.setattr(chart, "descent_ss",
                             lambda *a: runs.append(a) or ss(*a))
-        assert tmf_mod_p_pi(4)["gens"] == ["Tor(alpha)"]
+        assert mod_three_labels(4) == ["Tor(alpha)"]
         assert runs == [(4, 4), (3, 3)]
 
 
@@ -640,7 +645,7 @@ class TestInternalAudits:
         # also where tmf_pi is reached through the mod-3 groups
         full = chart._dm_free_gens
         monkeypatch.setattr(chart, "_dm_free_gens", lambda n: full(n)[:-1])
-        for call in (tmf_pi, tmf_mod_p_pi, duality_check):
+        for call in (tmf_pi, chart._tmf3_gens, duality_check):
             with pytest.raises(InternalCheckError):
                 call(0)
 

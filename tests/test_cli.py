@@ -11,13 +11,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmfkit import cli, fgl
-from tmfkit.algebra import (InternalCheckError, POLY_COEFF_CAP,
+from tmfkit.algebra import (InternalCheckError, POLY_BITS_CAP, POLY_COEFF_CAP,
                             RING_DEPTH_CAP, SMITH_BITS_CAP, ring_from_json)
 from tmfkit.fgl import LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP
 from tmfkit.series import Series
@@ -885,6 +886,90 @@ class TestPolynomialCoefficientCap:
         assert run_text(LANDWEBER, json.dumps(law)) == 2
         assert capsys.readouterr().err.count(
             "exceed the desk-scale cap %d" % POLY_COEFF_CAP) == 2
+
+
+def sized_curve(shape, bits, seed=0):
+    """curve invariants over Q nested len(shape) deep: five random
+    a-invariants of the given shape, each base coefficient a reduced
+    fraction of at most `bits` bits, numerator and denominator together."""
+    rng = random.Random(seed)
+    top = bits // 2
+
+    def coeff(shape):
+        if shape:
+            return [coeff(shape[1:]) for _ in range(shape[0])]
+        c = Fraction(rng.randrange(1 << top - 1, 1 << top),
+                     rng.randrange(1 << bits - top - 1, 1 << bits - top))
+        return "%d/%d" % (c.numerator * rng.choice([1, -1]), c.denominator)
+    ring = {"kind": "Rationals"}
+    for _ in shape:
+        ring = {"kind": "PolynomialRing", "base": ring}
+    return {"ring": ring, "a": [coeff(shape) for _ in range(5)]}
+
+
+def payload_bits(obj):
+    """The bits of a payload coefficient over Q, as the cap counts them."""
+    if isinstance(obj, list):
+        return sum(map(payload_bits, obj))
+    c = Fraction(obj)
+    return c.numerator.bit_length() + c.denominator.bit_length()
+
+
+class TestPolynomialBitsCap:
+    """Over characteristic 0 a polynomial coefficient of a payload has at
+    most POLY_BITS_CAP bits in its numerators and denominators, summed
+    through the nesting: curve invariants grow with their size too."""
+
+    @pytest.mark.parametrize("shape", [(POLY_COEFF_CAP,), (4, 3), (3, 4)],
+                             ids=str)
+    def test_at_the_cap_curve_invariants_answers_in_time(self, shape):
+        # every coefficient has 21 bits: 12 of them are 252 of the 256
+        payload = sized_curve(shape, POLY_BITS_CAP // POLY_COEFF_CAP)
+        heaviest = max(map(payload_bits, payload["a"]))
+        assert POLY_BITS_CAP - POLY_COEFF_CAP * 2 <= heaviest <= POLY_BITS_CAP
+        start = time.monotonic()
+        assert run_text(CURVE_INVARIANTS, json.dumps(payload)) == 0
+        assert time.monotonic() - start < 5
+
+    def test_forty_digit_fractions_exit_two_at_once(self, capsys):
+        # five 12-term a-invariants of 40-digit fractions over Q[T]
+        rng = random.Random(0)
+        a = [["%d/%d" % (rng.randrange(10 ** 39, 10 ** 40),
+                         rng.randrange(10 ** 39, 10 ** 40))
+              for _ in range(POLY_COEFF_CAP)] for _ in range(5)]
+        text = json.dumps({"ring": {"kind": "PolynomialRing",
+                                    "base": {"kind": "Rationals"}}, "a": a})
+        start = time.monotonic()
+        assert run_text(CURVE_INVARIANTS, text) == 2
+        assert time.monotonic() - start < 1
+        err = capsys.readouterr().err
+        assert "bits in one polynomial coefficient exceed the desk-scale " \
+            "cap %d" % POLY_BITS_CAP in err
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_the_bound_is_exact(self, depth, capsys):
+        # 2^254 has 255 bits and its denominator 1 one: 256 in all
+        for n, code in ((2 ** 254, 0), (2 ** 255, 2)):
+            ring, coeff = {"kind": "Rationals"}, n
+            for _ in range(depth):
+                ring = {"kind": "PolynomialRing", "base": ring}
+                coeff = [coeff]
+            text = json.dumps({"ring": ring, "a": [coeff, [], [], [], []]})
+            assert run_text(CURVE_INVARIANTS, text) == code
+        assert "257 bits in one polynomial coefficient" in \
+            capsys.readouterr().err
+
+    def test_residues_are_not_counted(self):
+        # over F_{p^2} the coefficients do not grow: 12 residue pairs near
+        # 10^6, 480 bits, answer
+        p = 999983
+        rng = random.Random(0)
+        a = [[[rng.randrange(p), rng.randrange(p)]
+              for _ in range(POLY_COEFF_CAP)] for _ in range(5)]
+        ring = {"kind": "PolynomialRing",
+                "base": {"kind": "QuadExtField", "p": p}}
+        assert run_text(CURVE_INVARIANTS,
+                        json.dumps({"ring": ring, "a": a})) == 0
 
 
 # -- in-process fuzz: random JSON values in the real fields of each payload

@@ -7,11 +7,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmfkit.algebra import AlgebraError, ZZ, QQ, PrimeField, IntegersMod
+from tmfkit.algebra import (AlgebraError, ZZ, QQ, PrimeField, IntegersMod,
+                            smith_normal_form)
 from tmfkit.series import Series
 from tmfkit.modforms import (
-    ModularForm, normal_form, basis, basis_monomials, dimension,
-    q_expansion, j_q_expansion, qexp_injectivity_check, monomial_label,
+    ModularForm, normal_form, basis_monomials, dimension,
+    q_expansion, j_q_expansion, monomial_label,
     QEXP_PRECISION_CAP, QEXP_WORK_CAP, WEIGHT_CAP, _check_work, _generators,
     _mono_qexp, _power,
 )
@@ -94,8 +95,9 @@ class TestBasis:
             ["c4^6", "c4^3*Delta", "Delta^2"]
 
     def test_basis_forms_are_homogeneous(self):
-        for f in basis(36):
-            assert f.weight() == 36     # a single weight, not "mixed"
+        for mon in basis_monomials(36):
+            # a single weight, not "mixed"
+            assert ModularForm.monomial(mon).weight() == 36
 
 
 class TestNormalForm:
@@ -243,7 +245,7 @@ class TestQExpansions:
                                                      2160 + 16632]
         # one monomial of weight N or more fits at the top precision, and
         # two of weight WEIGHT_CAP are refused before anything is expanded
-        _check_work([(WEIGHT_CAP, 1)], N)
+        _check_work([WEIGHT_CAP], N)
         two = ModularForm(ZZ, {(2500, 0, 0): 1, (2200, 0, 100): 1})
         start = time.monotonic()
         with pytest.raises(AlgebraError, match="expanding 2 monomials to "
@@ -313,42 +315,65 @@ class TestJExpansion:
         assert (j * dq).agrees_with(c43)
 
 
+def rank(rows):
+    """The rank over Q of an integer matrix, read off its Smith form."""
+    D, _, _ = smith_normal_form(rows)
+    return sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
+
+
+def first_independent_terms(k_max, N):
+    """For each weight k <= k_max, the least m such that the first m
+    q-coefficients of the weight-k basis monomials, each expanded by
+    q_expansion to precision N, are independent over Q; None where N
+    coefficients do not show it."""
+    out = {}
+    for k in range(k_max + 1):
+        mons = basis_monomials(k)
+        rows = [[e.coeff((n,)) for n in range(N)]
+                for e in (q_expansion(ModularForm.monomial(mon), N)
+                          for mon in mons)]
+        out[k] = next((m for m in range(len(mons), N + 1)
+                       if rank([row[:m] for row in rows]) == len(mons)),
+                      None)
+    return out
+
+
 class TestInjectivity:
     def test_expansions_separate_forms(self):
-        rep = qexp_injectivity_check(36, 8)
-        assert rep["all_independent"]
-        assert rep["not_visible"] == []
+        # c4^a c6^b Delta^c starts at q^c: the first dim M_k coefficients
+        # separate the weight-k basis
+        assert first_independent_terms(36, 8) == \
+            {k: dimension(k) for k in range(37)}
 
     def test_caps(self):
-        with pytest.raises(AlgebraError, match="q-precision 1001 exceeds "
-                           "the desk-scale cap %d" % QEXP_PRECISION_CAP):
-            qexp_injectivity_check(12, 1001)
-        assert qexp_injectivity_check(12, 1000)["all_independent"]
-        # weights 0..18 have 12 basis monomials in all
+        # the basis monomials of every weight up to 12, as one form, fit the
+        # work cap at the precision cap, and their expansions there are
+        # independent; those up to weight 18, 12 monomials, do not fit
+        N = QEXP_PRECISION_CAP
+        low = ModularForm(ZZ, {mon: 1 for k in range(13)
+                               for mon in basis_monomials(k)})
+        assert q_expansion(low, N).coeff((0,)) == 2
+        assert None not in first_independent_terms(12, N).values()
         dims = [(0, 1), (4, 1), (6, 1), (8, 1), (10, 1), (12, 2), (14, 1),
                 (16, 2), (18, 2)]
         work = sum((k + 100) * d for k, d in dims) * 1050 ** 2
+        high = ModularForm(ZZ, {mon: 1 for k in range(19)
+                                for mon in basis_monomials(k)})
         with pytest.raises(AlgebraError, match="expanding 12 monomials to "
                            "q-precision 1000, work %d, exceeds the "
                            "desk-scale cap %d" % (work, QEXP_WORK_CAP)):
-            qexp_injectivity_check(18, 1000)
-        # the refusal counts the bases in closed form, without listing them
-        start = time.monotonic()
-        with pytest.raises(AlgebraError, match="expanding %d monomials"
-                           % sum(map(dimension, range(WEIGHT_CAP + 1)))):
-            qexp_injectivity_check(WEIGHT_CAP, 1)
-        with pytest.raises(AlgebraError, match="weight %d exceeds"
-                           % (WEIGHT_CAP + 1)):
-            qexp_injectivity_check(WEIGHT_CAP + 1, 2)
-        assert time.monotonic() - start < 5
+            q_expansion(high, N)
+        with pytest.raises(AlgebraError, match="q-precision 1001 exceeds "
+                           "the desk-scale cap %d" % QEXP_PRECISION_CAP):
+            q_expansion(low, N + 1)
 
     def test_insufficient_precision_reported(self):
         # two q-coefficients separate at most two forms
-        rep = qexp_injectivity_check(48, 2)
-        assert rep["all_independent"] is False
-        assert rep["not_visible"] == [k for k in range(49) if dimension(k) > 2]
-        assert rep["not_visible"][:3] == [24, 28, 30]
-        assert rep["not_visible"][-1] == 48
+        first = first_independent_terms(48, 2)
+        not_visible = [k for k, m in first.items() if m is None]
+        assert not_visible == [k for k in range(49) if dimension(k) > 2]
+        assert not_visible[:3] == [24, 28, 30]
+        assert not_visible[-1] == 48
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 functional inverse, exact division (including Laurent tails), and JSON."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from tmfkit.algebra import (
 from tmfkit.series import Series, _product
 from tmfkit.fgl import FormalGroupLaw, honda_fgl
 from tmfkit.weierstrass import WeierstrassCurve, formal_group
+
+from elimination import eliminate
 
 
 def zt(precision, terms):
@@ -228,17 +231,23 @@ class TestDivision:
         # 2y / 2x would be x^-1 y: no series of two variables holds it
         xy = ("x", "y")
         f = Series(ZZ, xy, 5, {(0, 1): 2})
+        g = Series(ZZ, xy, 5, {(1, 0): 2})
         with pytest.raises(NotDivisible):
-            f.divide_exact(Series(ZZ, xy, 5, {(1, 0): 2}))
+            f.divide_exact(g)
+        with pytest.raises(NotDivisible):
+            eliminate(f, g)
 
     def test_inexact_division_rejected(self):
         f = zt(5, {(1,): 1})
         g = zt(5, {(1,): 2})
-        with pytest.raises((AlgebraError, NotDivisible)):
+        with pytest.raises(NotDivisible):
             f.divide_exact(g)
+        with pytest.raises(NotDivisible):
+            eliminate(f, g)
 
-    # the elimination route: one variable with a non-unit lead coefficient,
-    # or several variables
+    # divide_exact refuses a non-unit lowest coefficient, or a divisor of
+    # several variables with no unit constant term, naming the lowest term;
+    # the elimination helper divides them
     @pytest.mark.parametrize("f,g,terms,precision", [
         (zt(5, {(1,): 2, (2,): 4}), zt(5, {(1,): 2}), {(0,): 1, (1,): 2}, 4),
         (zt(6, {(0,): 2}), zt(6, {(2,): 2}), {(-2,): 1}, 2),
@@ -248,9 +257,19 @@ class TestDivision:
          Series(ZZ, ("x", "y"), 5, {(1, 0): 2}), {(0, 0): 1, (0, 1): 1}, 4),
     ], ids=["2t+4t^2 by 2t", "2 by 2t^2", "6+3t by 3+3t", "2x+2xy by 2x"])
     def test_non_unit_lead(self, f, g, terms, precision):
-        h = f.divide_exact(g)
+        lowest = str(g._like(dict(g.sorted_terms()[:1])))
+        with pytest.raises(NotDivisible, match="lowest term %s is not a unit"
+                           % re.escape(lowest)):
+            f.divide_exact(g)
+        h = eliminate(f, g)
         assert (h.terms, h.precision) == (terms, precision)
         assert (h * g).agrees_with(f, h.precision)
+
+    def test_a_unit_lowest_term_of_several_variables_is_refused(self):
+        xy = ("x", "y")
+        g = Series(ZZ, xy, 5, {(1, 0): 1, (0, 1): 1})
+        with pytest.raises(NotDivisible, match="lowest term y is not"):
+            Series.zero(ZZ, xy, 5).divide_exact(g)
 
 
 class TestSerialization:
@@ -1022,20 +1041,25 @@ def test_division_multiplies_back(R):
             f = q * g
         except AlgebraError:   # a Laurent q can exhaust the window
             continue
+        if R.is_unit(g.constant_term()):
+            route = "unit constant"
+        elif len(vars) == 1 and R.is_unit(lead):
+            route = "shift"
+        else:
+            # divide_exact refuses the rest; the elimination helper divides
+            route = "eliminate %s" % ("1 var" if len(vars) == 1
+                                      else "2-3 vars")
+            with pytest.raises(NotDivisible, match="lowest term"):
+                f.divide_exact(g)
         try:
-            h = f.divide_exact(g)
+            h = (eliminate(f, g) if route.startswith("eliminate")
+                 else f.divide_exact(g))
         except AlgebraError as exc:
             # only the precision guard may refuse an exact quotient
             assert not isinstance(exc, NotDivisible), (f, g)
             continue
         assert (h * g).agrees_with(f, h.precision), (f, g)
-        if R.is_unit(g.constant_term()):
-            seen["unit constant"] += 1
-        elif len(vars) == 1 and R.is_unit(lead):
-            seen["shift"] += 1
-        else:
-            seen["eliminate %s" % ("1 var" if len(vars) == 1
-                                   else "2-3 vars")] += 1
+        seen[route] += 1
         seen["laurent"] += (h.valuation() or 0) < 0
     if not non_units(R):   # every one-variable lead is a unit
         del seen["eliminate 1 var"]

@@ -22,6 +22,8 @@ from tmfkit.weierstrass import (
     supersingular_polynomial, SS_PRIME_CAP, division_poly_f,
 )
 
+from elimination import eliminate
+
 
 def qcurve(*a):
     return WeierstrassCurve.from_ints(QQ, *a)
@@ -180,8 +182,9 @@ class TestFormalGroup:
 def plain_formal_group(curve, N):
     """The curve's formal group the long way, at the fixed slack N + 8:
     x = z/w and y = -1/w by Laurent division, the chord slope by dividing
-    w(z2) - w(z1) by z2 - z1, and eta = dx/(2y + a1 x + a3) by Laurent
-    division (None where that division fails).  F, x and y are truncated
+    w(z2) - w(z1) by z2 - z1 by elimination, and eta = dx/(2y + a1 x + a3)
+    by elimination too, since the divisor's lowest coefficient -2 need not
+    be a unit (None where that division fails).  F, x and y are truncated
     to N and eta to N - 1."""
     R = curve.ring
     a1, a2, a3, a4, a6 = curve.a_invariants()
@@ -203,7 +206,7 @@ def plain_formal_group(curve, N):
     Z1 = Series.gen(R, pair, Nw, "z1")
     Z2 = Series.gen(R, pair, Nw, "z2")
     w1, w2 = w.rename(pair, [0]), w.rename(pair, [1])
-    lam = (w2 - w1).divide_exact(Z2 - Z1)
+    lam = eliminate(w2 - w1, Z2 - Z1)
     nu = w1 - lam * Z1
     i = R.from_int
     A = Series.one(R, pair, lam.precision) + lam.scale(a2) \
@@ -217,7 +220,7 @@ def plain_formal_group(curve, N):
     den = y.scale(i(2)) + x.scale(a1) + \
         Series.constant(R, ("z",), x.precision, a3)
     try:
-        eta = x.derivative().divide_exact(den)
+        eta = eliminate(x.derivative(), den)
         eta = Series(R, ("z",), N - 1, eta.terms)
     except NotDivisible:
         eta = None
