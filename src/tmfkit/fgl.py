@@ -84,9 +84,11 @@ def _check_unit_commutative(F):
             raise FGLInvalid("unit axiom fails at %s" %
                              monomial_str(F.vars, first))
 
-    bad = [(a, b) for (a, b), c in F.terms.items()
-           if not R.eq(F.coeff((b, a)), c)]
-    if bad:
+    # payloads compare by value and the constructor drops zeros, so F is
+    # commutative exactly when its terms equal their swap
+    if {(b, a): c for (a, b), c in F.terms.items()} != F.terms:
+        bad = [(a, b) for (a, b), c in F.terms.items()
+               if not R.eq(F.coeff((b, a)), c)]
         first = min(bad, key=lambda t: (sum(t), t))
         raise FGLInvalid("commutativity fails at %s" %
                          monomial_str(F.vars, first))
@@ -106,9 +108,33 @@ def _check_associative(F):
                          monomial_str(tri, _first_monomial(diff)))
 
 
+def _differential(F):
+    """1/F_y(x, 0), in the variable t.  F_y(x, 0) is read off the terms
+    c x^a y of F, and is known below F's precision minus one."""
+    R = F.ring
+    fy0 = Series(R, ("t",), F.precision - 1,
+                 {(e[0],): c for e, c in F.terms.items() if e[1] == 1})
+    if not R.eq(fy0.constant_term(), R.one):
+        raise InternalCheckError("F_y(x,0) should have constant term 1")
+    return fy0.inverse_unit()
+
+
+def _linearizing_log(F):
+    """(l, ok) for a law F over a ring in which every k below F's precision
+    is invertible: l(t) = the integral of dt / F_y(t, 0), and whether
+    l(F) = l(x) + l(y) below F's precision.  logarithm() and validate's
+    certificate share it; it does not go through invariant_differential."""
+    log = _differential(F).integrate()
+    lhs = log.compose(F)
+    rhs = log.rename(F.vars, [0]) + log.rename(F.vars, [1])
+    return log, lhs == rhs
+
+
 class FormalGroupLaw:
-    """A certified 2-variable law F(x,y).  Use validate() to construct.  A
-    law keeps no memo: every method computes its result from F alone."""
+    """A certified 2-variable law F(x,y).  Use validate() to construct; a
+    law over Z, Q, Z_(p) or Z[1/m] is certified associative by its
+    logarithm, one in positive characteristic by the three-variable check.
+    A law keeps no memo: every method computes its result from F alone."""
 
     def __init__(self, F, _certified=False):
         if not _certified:
@@ -123,12 +149,37 @@ class FormalGroupLaw:
     @staticmethod
     def validate(F, check_associativity=True):
         """Check unit, commutativity, and associativity axioms to the series
-        precision; raises FGLInvalid naming the first offending monomial.
-        check_associativity=False skips the three-variable substitution for
-        internal callers whose construction guarantees associativity."""
+        precision N; raises FGLInvalid naming the first offending monomial.
+        check_associativity=False skips the associativity check for
+        internal callers whose construction guarantees associativity.
+
+        Over a ring of characteristic 0 with the to_cleared hook (Z, Q,
+        Z_(p), Z[1/m]: the rings that embed in Q), a law with at least N
+        terms is certified by its logarithm l = the integral of
+        dt / F_y(t, 0), formed over Q: l(F) = l(x) + l(y) below N.  That
+        suffices, for l = t + ... is invertible, so
+        l(F(F(x, y), z)) = l(x) + l(y) + l(z) = l(F(x, F(y, z))) below N,
+        and F is associative below N over Q and so over the ring.  It is
+        also necessary: the z-derivative of associativity at z = 0 gives
+        F_y(F(x, y), 0) = F_y(x, y) F_y(y, 0), whose integral in y is
+        l(F) = l(x) + l(y).  So when the logarithm fails, the
+        three-variable check fails too, and names the first monomial
+        where F(F(x, y), z) and F(x, F(y, z)) differ.  The logarithm is
+        dense below N whatever F is, so a law with fewer terms than N,
+        such as x + y + xy declared at a high precision, keeps the
+        three-variable check, which is cheap on it; so does a law over any
+        other ring."""
         _check_unit_commutative(F)
+        R = F.ring
         if check_associativity:
-            _check_associative(F)
+            if R.characteristic() or not R.to_cleared or \
+                    len(F.terms) < F.precision:
+                _check_associative(F)
+            elif not _linearizing_log(F if R == QQ
+                                      else F.map_coeffs(Fraction, QQ))[1]:
+                _check_associative(F)
+                raise InternalCheckError("the logarithm fails to linearize "
+                                         "an associative law")
         return FormalGroupLaw(F, _certified=True)
 
     @staticmethod
@@ -144,6 +195,16 @@ class FormalGroupLaw:
         F = Series(ring, ("x", "y"), precision,
                    {(1, 0): ring.one, (0, 1): ring.one, (1, 1): ring.one})
         return FormalGroupLaw.validate(F)
+
+    def conjugate(self, u, ring):
+        """u F(x/u, y/u) over ring, for a law over Z and an int u that is a
+        unit of ring, a ring with the from_cleared hook: the term
+        c x^a y^b becomes c / u^(a + b - 1).  Conjugation by the unit scalar
+        t -> u t carries every axiom, so the result is certified with F."""
+        G = Series(ring, self.vars, self.precision,
+                   {e: ring.from_cleared(c, u ** (sum(e) - 1))
+                    for e, c in self.F.terms.items()})
+        return FormalGroupLaw(G, _certified=True)
 
     # -- basic structure ----------------------------------------------------
 
@@ -182,27 +243,21 @@ class FormalGroupLaw:
         """The coefficient series of the canonical invariant differential,
         1/F_y(x, 0); constant term is always 1.  F_y(x, 0) is read off the
         terms c x^a y of F, and is known below F's precision minus one."""
-        R = self.ring
-        fy0 = Series(R, ("t",), self.precision - 1,
-                     {(e[0],): c for e, c in self.F.terms.items() if e[1] == 1})
-        if not R.eq(fy0.constant_term(), R.one):
-            raise InternalCheckError("F_y(x,0) should have constant term 1")
-        return fy0.inverse_unit()
+        return _differential(self.F)
 
     def logarithm(self):
         """l(t) with l'(t) the invariant differential and l(0) = 0; only over
-        rings containing the rationals (checked by exact divisibility)."""
+        rings in which every k < N is invertible (checked by exact
+        divisibility by each prime below N, whose products are those k)."""
         R = self.ring
-        for k in range(2, self.precision):
+        for p in filter(is_prime, range(2, self.precision)):
             try:
-                R.divide(R.one, R.from_int(k))
+                R.divide(R.one, R.from_int(p))
             except (NotDivisible, AlgebraError):
                 raise AlgebraError("logarithm requires rational coefficients")
-        log = self.invariant_differential().integrate()
+        log, ok = _linearizing_log(self.F)
         # postcondition: the logarithm linearizes the law
-        lhs = log.compose(self.F)
-        rhs = log.rename(self.vars, [0]) + log.rename(self.vars, [1])
-        if lhs != rhs:
+        if not ok:
             raise InternalCheckError("logarithm failed to linearize the law")
         return log
 

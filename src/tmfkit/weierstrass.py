@@ -6,7 +6,7 @@ supersingularity tests, and the supersingular polynomial Phi(j)."""
 import math
 from itertools import accumulate, repeat
 
-from .algebra import (AlgebraError, InternalCheckError,
+from .algebra import (AlgebraError, InternalCheckError, ZZ, Rationals,
                       PrimeField, QuadExtField, Poly, poly_gcd,
                       minimal_polynomial, is_prime, ring_from_json)
 from .series import Series, _solve_implicit
@@ -172,13 +172,48 @@ def formal_group(curve, N):
     eta (2y + a1 x + a3) = dx times z^3, which clears y's pole.  The slack
     Nw = N + 3 is that pole's order: x needs two degrees past N and F at
     most two.  The law is always certified: FormalGroupLaw.validate checks
-    the unit, commutativity and associativity axioms below N.  Returns
-    {fgl, x_series, y_series, eta}."""
+    the unit, commutativity and associativity axioms below N, associativity
+    in characteristic 0 by the law's logarithm.
+
+    Over Q and its localizations the work runs on an integral model
+    (Silverman, AEC III.1 and VII.1).  For u the lcm of the a-invariants'
+    denominators, E' with a_i' = u^i a_i is over Z and isomorphic to E by
+    x = u^-2 x', y = u^-3 y', so z = u z'.  Its x, y, law and eta come from
+    the same construction over Z, and rescale term by term: the z^k term
+    of x by u^(-2-k), of y by u^(-3-k) and of eta by u^-k, and the
+    z1^a z2^b term of F by u^(1-a-b).  That is conjugation of F' by the
+    unit scalar t -> u t, so F is certified with F' and the axioms are not
+    checked again over Q.  A term of low degree keeps its own size instead
+    of one common denominator near u^(N-1), and for u = 1 the work runs in
+    ints and maps to the ring once.
+    Returns {fgl, x_series, y_series, eta}."""
     if N < 3:
         raise AlgebraError("precision must be at least 3")
     if N > CURVE_PRECISION_CAP:
         raise AlgebraError("precision %d exceeds the desk-scale cap %d"
                            % (N, CURVE_PRECISION_CAP))
+    R = curve.ring
+    if not isinstance(R, Rationals):
+        return _formal_group(curve, N)
+    a = curve.a_invariants()
+    u = math.lcm(*(c.denominator for c in a))
+    model = WeierstrassCurve(ZZ, *(c.numerator * (u ** i // c.denominator)
+                                   for c, i in zip(a, (1, 2, 3, 4, 6))))
+    data = _formal_group(model, N)
+
+    def rescaled(s, shift):
+        return Series(R, s.vars, s.precision,
+                      {(k,): R.from_cleared(c, u ** (k + shift))
+                       for (k,), c in s.terms.items()})
+    return {"fgl": data["fgl"].conjugate(u, R),
+            "x_series": rescaled(data["x_series"], 2),
+            "y_series": rescaled(data["y_series"], 3),
+            "eta": rescaled(data["eta"], 0)}
+
+
+def _formal_group(curve, N):
+    """formal_group's construction over the curve's own ring, at a
+    precision N that formal_group has checked."""
     R = curve.ring
     a1, a2, a3, a4, a6 = curve.a_invariants()
     Nw = N + 3

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from tmfkit import cli, fgl
 from tmfkit.algebra import (InternalCheckError, POLY_BITS_CAP, POLY_COEFF_CAP,
-                            RING_DEPTH_CAP, SMITH_BITS_CAP, ring_from_json)
+                            POLY_RESIDUE_BITS_CAP, RING_DEPTH_CAP,
+                            SMITH_BITS_CAP, ring_from_json)
 from tmfkit.fgl import LANDWEBER_DEGREE_CAP, LANDWEBER_WORK_CAP
 from tmfkit.series import Series
 
@@ -961,7 +962,8 @@ class TestPolynomialBitsCap:
 
     def test_residues_are_not_counted(self):
         # over F_{p^2} the coefficients do not grow: 12 residue pairs near
-        # 10^6, 480 bits, answer
+        # 10^6, 480 bits, answer (they count 12 * 20 against
+        # POLY_RESIDUE_BITS_CAP)
         p = 999983
         rng = random.Random(0)
         a = [[[rng.randrange(p), rng.randrange(p)]
@@ -970,6 +972,67 @@ class TestPolynomialBitsCap:
                 "base": {"kind": "QuadExtField", "p": p}}
         assert run_text(CURVE_INVARIANTS,
                         json.dumps({"ring": ring, "a": a})) == 0
+
+
+def residue_curve(shape, bits, seed=0):
+    """curve invariants over Z/m nested len(shape) deep, for a random m of
+    the given bit length: five random a-invariants of the given shape."""
+    rng = random.Random(seed)
+    m = rng.randrange(1 << bits - 1, 1 << bits) | 1
+
+    def coeff(shape):
+        if shape:
+            return [coeff(shape[1:]) for _ in range(shape[0])]
+        return rng.randrange(m)
+    ring = {"kind": "IntegersMod", "m": m}
+    for _ in shape:
+        ring = {"kind": "PolynomialRing", "base": ring}
+    return {"ring": ring, "a": [coeff(shape) for _ in range(5)]}
+
+
+class TestResidueBitsCap:
+    """Over characteristic m a polynomial coefficient of a payload has at
+    most POLY_RESIDUE_BITS_CAP bits, m.bit_length() for each residue,
+    summed through the nesting: residues do not grow, but their products
+    cost more as m grows."""
+
+    @pytest.mark.parametrize("shape", [(POLY_COEFF_CAP,), (4, 3), (3, 4),
+                                       (6, 2)], ids=str)
+    def test_at_the_cap_curve_invariants_answers_in_time(self, shape):
+        # 12 residues of 1333 bits: 15 996 of the 16 000
+        payload = residue_curve(shape, POLY_RESIDUE_BITS_CAP // POLY_COEFF_CAP)
+        start = time.monotonic()
+        assert run_text(CURVE_INVARIANTS, json.dumps(payload)) == 0
+        assert time.monotonic() - start < 5
+
+    @pytest.mark.parametrize("shape", [(POLY_COEFF_CAP,), (4, 3)], ids=str)
+    def test_a_four_thousand_digit_modulus_exits_two_at_once(self, shape,
+                                                            capsys):
+        payload = residue_curve(shape, 13288)
+        ring = payload["ring"]
+        while ring["kind"] == "PolynomialRing":
+            ring = ring["base"]
+        assert len(str(ring["m"])) >= 4000
+        start = time.monotonic()
+        assert run_text(CURVE_INVARIANTS, json.dumps(payload)) == 2
+        assert time.monotonic() - start < 1
+        assert "bits in one polynomial coefficient exceed the desk-scale " \
+            "cap %d" % POLY_RESIDUE_BITS_CAP in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_the_bound_is_exact(self, depth, capsys):
+        # two residues of an 8000-bit modulus are 16 000 bits; of an
+        # 8001-bit one, 16 002
+        for bits, code in ((8000, 0), (8001, 2)):
+            ring, coeff = {"kind": "IntegersMod", "m": 2 ** (bits - 1) + 1}, \
+                [1, 1]
+            for _ in range(depth - 1):
+                ring, coeff = {"kind": "PolynomialRing", "base": ring}, [coeff]
+            ring = {"kind": "PolynomialRing", "base": ring}
+            text = json.dumps({"ring": ring, "a": [coeff, [], [], [], []]})
+            assert run_text(CURVE_INVARIANTS, text) == code
+        assert "16002 bits in one polynomial coefficient" in \
+            capsys.readouterr().err
 
 
 # -- in-process fuzz: random JSON values in the real fields of each payload

@@ -154,6 +154,94 @@ def test_associativity_matches_two_substitutions(R):
     assert failures >= 3
 
 
+CERTIFIED_BY_LOG = [QQ, ZZ, LocalizedIntegers(at=3),
+                    LocalizedIntegers(inverted=(2,))]
+
+
+def spy_on(monkeypatch, name):
+    """Record each call of the fgl module's function name, then run it."""
+    calls = []
+    real = getattr(fgl, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(fgl, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("R", CERTIFIED_BY_LOG + [PrimeField(3),
+                                                  IntegersMod(12)], ids=repr)
+def test_logarithm_certifies_in_characteristic_zero(R, monkeypatch):
+    """A law over Z, Q, Z_(3) or Z[1/2] is certified by its logarithm, with
+    no three-variable check; over F_3 and Z/12 the check runs."""
+    rng = random.Random(repr(R))
+    laws = [conjugated_multiplicative(R, n, rng) for n in (4, 7, 10)]
+    laws.append(formal_group(WeierstrassCurve.from_ints(R, 1, -1, 1, 0, 2),
+                             9)["fgl"].F)
+    three_variable = spy_on(monkeypatch, "_check_associative")
+    by_log = spy_on(monkeypatch, "_linearizing_log")
+    for F in laws:
+        assert FormalGroupLaw.validate(F).F == F
+    if R.characteristic():
+        assert len(three_variable) == len(laws) and by_log == []
+    else:
+        assert all(len(F.terms) >= F.precision for F in laws)
+        assert three_variable == [] and len(by_log) == len(laws)
+        assert all(F.ring == QQ for (F,) in by_log)
+
+
+@pytest.mark.parametrize("R", CERTIFIED_BY_LOG, ids=repr)
+def test_a_failed_logarithm_names_the_three_variable_monomial(R,
+                                                            monkeypatch):
+    """Perturbed symmetrically at each degree, as in
+    test_associativity_matches_two_substitutions, a law fails its
+    logarithm and then validate with the message of the three-variable
+    check."""
+    rng = random.Random("perturbed %r" % R)
+    n = 9
+    base = conjugated_multiplicative(R, n, rng)
+    assert len(base.terms) >= n
+    by_log = spy_on(monkeypatch, "_linearizing_log")
+    failures = 0
+    for d in range(2, n):
+        for _ in range(2):
+            a = rng.randint(1, d - 1)
+            c = R.from_int(rng.choice([1, 5, -1]))
+            F = base + Series(R, ("x", "y"), n, {(a, d - a): c, (d - a, a): c})
+            try:
+                fgl._check_associative(F)
+            except FGLInvalid as exc:
+                want = str(exc)
+            else:
+                FormalGroupLaw.validate(F)
+                continue
+            failures += 1
+            with pytest.raises(FGLInvalid) as exc:
+                FormalGroupLaw.validate(F)
+            assert str(exc.value) == want
+    assert failures >= n - 2 and len(by_log) == 2 * (n - 2)
+
+
+def test_a_certificate_that_disagrees_with_the_check_is_internal(monkeypatch):
+    monkeypatch.setattr(fgl, "_linearizing_log", lambda F: (None, False))
+    F = conjugated_multiplicative(QQ, 7, random.Random(0))
+    with pytest.raises(InternalCheckError, match="fails to linearize"):
+        FormalGroupLaw.validate(F)
+
+
+def test_sparse_laws_keep_the_three_variable_check(monkeypatch):
+    """The logarithm of x + y + xy is dense at any precision; the law has
+    fewer terms than its precision, so the three-variable check, cheap on
+    it, certifies it at precision 2000."""
+    three_variable = spy_on(monkeypatch, "_check_associative")
+    by_log = spy_on(monkeypatch, "_linearizing_log")
+    start = time.monotonic()
+    FormalGroupLaw.multiplicative(ZZ, 2000)
+    assert time.monotonic() - start < 1
+    assert len(three_variable) == 1 and by_log == []
+
+
 class TestStructure:
     def test_formal_inverse_multiplicative(self):
         # inverse of t in x+y+xy is the alternating geometric series
@@ -242,6 +330,14 @@ class TestStructure:
         F = FormalGroupLaw.multiplicative(ZZ, 7)
         with pytest.raises(AlgebraError):
             F.logarithm()
+
+    def test_logarithm_needs_each_prime_below_the_precision(self):
+        R = LocalizedIntegers(inverted=(2, 3, 5))
+        log = FormalGroupLaw.multiplicative(R, 7).logarithm()
+        assert log.coeff((6,)) == Fraction(-1, 6)
+        with pytest.raises(AlgebraError,
+                           match="logarithm requires rational coefficients"):
+            FormalGroupLaw.multiplicative(R, 8).logarithm()
 
 
 class TestHeights:

@@ -2,8 +2,9 @@
 import, or a private function, class or method that nothing refers to, or a
 public function or class that no entry point's code names; no coefficient ring
 keeps a method that nothing names; only algebra.py spells out the monomial
-label format; no object keeps state that its methods write.  The README's
-table of input caps states every cap the library enforces."""
+label format; no object keeps state that its methods write; only fgl.py
+certifies a formal group law.  The README's table of input caps states every
+cap the library enforces."""
 
 import ast
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from tmfkit import algebra
-from tmfkit.algebra import (POLY_BITS_CAP, POLY_COEFF_CAP, PRIMALITY_CAP,
+from tmfkit.algebra import (POLY_BITS_CAP, POLY_COEFF_CAP,
+                            POLY_RESIDUE_BITS_CAP, PRIMALITY_CAP,
                             RING_DEPTH_CAP, SMITH_BITS_CAP)
 from tmfkit.fgl import (HONDA_WORK_CAP, LANDWEBER_DEGREE_CAP,
                         LANDWEBER_WORK_CAP, LAW_PRECISION_CAP)
@@ -205,6 +207,19 @@ def test_one_monomial_printer():
     assert holders == ["algebra.py"]
 
 
+def test_only_fgl_certifies_a_law():
+    """FormalGroupLaw(F, _certified=True) is written only in fgl.py: every
+    other module, test or demo gets a law from validate() or from a method
+    of a certified law."""
+    paths = [*MODULES, *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py"))]
+    holders = sorted({path.relative_to(ROOT).as_posix() for path in paths
+                      for node in ast.walk(parse(path))
+                      if isinstance(node, ast.keyword)
+                      and node.arg == "_certified"})
+    assert holders == ["src/tmfkit/fgl.py"]
+
+
 def test_no_unreferenced_ring_methods():
     """Every method that Ring or a subclass defines is named somewhere in
     src/tmfkit: the coefficient rings keep no dead methods."""
@@ -241,6 +256,7 @@ CAPS = [
     (RING_DEPTH_CAP, "PolynomialRing"),
     (POLY_COEFF_CAP, "PolynomialRing.coeff_from_json"),
     (POLY_BITS_CAP, "PolynomialRing.coeff_from_json"),
+    (POLY_RESIDUE_BITS_CAP, "PolynomialRing.coeff_from_json"),
 ]
 
 

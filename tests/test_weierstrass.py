@@ -324,6 +324,61 @@ class TestFormalGroupAgainstPlainConstruction:
             formal_group(qcurve(1, -2, 3, 4, -5), 6)
 
 
+def digit_fraction(rng, R, digits):
+    """A random element of R, Q or a localization of Z, whose numerator and
+    denominator have up to the given number of digits (the denominator a
+    power of 2 over Z[1/2], prime to 3 over Z_(3))."""
+    num = rng.randrange(-10 ** digits, 10 ** digits)
+    if R == LocalizedIntegers(inverted=(2,)):
+        return Fraction(num, 2 ** rng.randrange(int(3.32 * digits) + 1))
+    while True:
+        den = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        if R == QQ or den % 3:
+            return Fraction(num, den)
+
+
+LOCAL_RINGS = [QQ, LocalizedIntegers(at=3), LocalizedIntegers(inverted=(2,))]
+
+
+class TestIntegralModel:
+    """Over Q and its localizations formal_group works on the integral
+    model a_i' = u^i a_i and rescales; weierstrass._formal_group, the
+    construction over the curve's own ring, is the oracle."""
+
+    @pytest.mark.parametrize("digits,N", [(1, 16), (10, 14), (40, 10)])
+    @pytest.mark.parametrize("R", LOCAL_RINGS, ids=repr)
+    def test_same_series_as_the_direct_route(self, R, digits, N):
+        rng = random.Random("%r %d" % (R, digits))
+        for _ in range(2):
+            a = [digit_fraction(rng, R, digits) for _ in range(5)]
+            curve = WeierstrassCurve(R, *a)
+            got = formal_group(curve, N)
+            want = weierstrass._formal_group(curve, N)
+            assert got["fgl"].ring == R
+            assert got["fgl"].F == want["fgl"].F, a
+            for key in ("x_series", "y_series", "eta"):
+                assert got[key] == want[key], (key, a)
+
+    @pytest.mark.parametrize("R,a,u", [
+        (QQ, ["1/2", 0, "1/3", 1, "-1/2"], 6),
+        (QQ, [1, -2, 3, 4, -5], 1),
+        (LocalizedIntegers(at=3), ["1/2", 0, "1/5", 1, "-1/2"], 10),
+        (LocalizedIntegers(inverted=(2,)), ["1/2", 0, "1/4", 1, "-1/2"], 4),
+    ], ids=str)
+    def test_the_work_runs_over_the_integers(self, R, a, u, monkeypatch):
+        seen = []
+        direct = weierstrass._formal_group
+
+        def spy(curve, N):
+            seen.append(curve)
+            return direct(curve, N)
+        monkeypatch.setattr(weierstrass, "_formal_group", spy)
+        a = [Fraction(c) for c in a]
+        formal_group(WeierstrassCurve(R, *a), 8)
+        assert seen == [WeierstrassCurve(
+            ZZ, *(int(c * u ** i) for c, i in zip(a, (1, 2, 3, 4, 6))))]
+
+
 class TestHasse:
     def test_supersingular_j_zero_at_five(self):
         c = WeierstrassCurve.from_ints(PrimeField(5), 0, 0, 0, 0, 1)
