@@ -150,8 +150,9 @@ class FormalGroupLaw:
     def validate(F, check_associativity=True):
         """Check unit, commutativity, and associativity axioms to the series
         precision N; raises FGLInvalid naming the first offending monomial.
-        check_associativity=False skips the associativity check for
-        internal callers whose construction guarantees associativity.
+        check_associativity=False skips the associativity check, for a
+        caller whose construction guarantees it, such as e(l(x) + l(y)) for
+        a logarithm l; no tmfkit module passes it.
 
         Over a ring of characteristic 0 with the to_cleared hook (Z, Q,
         Z_(p), Z[1/m]: the rings that embed in Q), a law with at least N
@@ -228,8 +229,9 @@ class FormalGroupLaw:
         """[m](t) by square and multiply on the law's sum F(u, v): O(log |m|)
         substitutions, at most 2 bit_length(|m|).  Negative m composes [-m]
         with the formal inverse.  The grouping relies on F being associative
-        below its precision, which a FormalGroupLaw certifies (a caller of
-        validate(F, check_associativity=False) vouches for it)."""
+        below its precision, which a FormalGroupLaw certifies (for a law
+        validated with check_associativity=False, its caller's construction
+        vouches for it)."""
         if m < 0:
             return self.n_series(-m).compose(self.formal_inverse())
         R = self.ring

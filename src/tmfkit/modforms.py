@@ -4,7 +4,7 @@ The graded ring M_* = Z[c4, c6, Delta] / (c4^3 - c6^2 = 1728*Delta) over a
 pluggable coefficient ring (Z, Q, Z[1/2], Z localized at a prime, F_p):
 normal forms, weight bases and dimensions, and q-expansions obtained by the
 Eisenstein substitution c4 -> E4(q), c6 -> -E6(q), worked out over Z with each
-power by J.C.P. Miller's recurrence.  Nothing is cached between calls.
+monomial by one J.C.P. Miller recurrence.  Nothing is cached between calls.
 """
 
 from math import comb
@@ -21,10 +21,10 @@ GENERATOR_WEIGHTS = {"c4": 4, "c6": 6, "Delta": 12}
 #: a q-precision, and on the work of a q-expansion, (min(weight, N) + 100)
 #: (N + 50)^2 steps a monomial: a coefficient's size grows with its weight
 #: up to about N.  The work cap admits one monomial of weight N or more at
-#: the precision cap.  At N = 1000, c4 + c6 takes 0.01 s, j 0.8 s, c4^2500
-#: 0.9 s, and the heaviest monomials, c4^a Delta^c near WEIGHT_CAP, 1.9-4.5 s
-#: (the product of two powers with big coefficients); forms that fill the
-#: work cap with lighter monomials, at N from 1 to 1000, take 0.2-3.8 s:
+#: the precision cap.  At N = 1000, c4 + c6 takes 0.01 s, j 0.4 s, and one
+#: monomial of weight WEIGHT_CAP, c4^a c6^b Delta^c with c from 0 to 800,
+#: 0.2-1.3 s (the heaviest have c4 and Delta factors); forms that fill the
+#: work cap with lighter monomials, at N from 1 to 1000, take 0.01-2.9 s:
 #: within a budget of 5 s a call (Python 3.11, 2 CPUs)
 WEIGHT_CAP = 10000
 QEXP_PRECISION_CAP = 1000
@@ -265,19 +265,37 @@ def dimension(k):
 # q-expansions
 
 
-def _power(f, k, N):
-    """The first N coefficients of f^k, for a list f of N or more ints with
-    f[0] = 1, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-    n g_n = sum_{j=1..n} ((k+1) j - n) f_j g_{n-j}, exact in Z."""
-    if k == 1:
-        return f[:N]
-    jf = [j * x for j, x in enumerate(f[:N])]
+def _conv(f, g, N):
+    """The first N coefficients of the product of two int lists, the second
+    of N or more entries (the first may be shorter)."""
+    return [sum(map(mul, f[:n + 1], g[n::-1])) for n in range(N)]
+
+
+def _monomial(gens, exps, N):
+    """The first N coefficients of g = prod f^e, for int lists f of N or
+    more entries with f[0] = 1 and int exponents e of either sign, by one
+    J.C.P. Miller recurrence (Knuth, TAOCP vol. 2, 4.7).  With
+    theta = q d/dq, h the product of the factors present and
+    K = sum e theta(f) h/f, h theta(g) = K g, that is
+    n g_n = sum_{j=1..n} (K_j - (n-j) h_j) g_{n-j}, exact in Z.  h and
+    k = K + theta(h) are built factor by factor from h = 1, k = 0: h
+    becomes h f, and k becomes k f + (e+1) theta(f) h, which is
+    (k - (e+1) theta(h)) f + (e+1) theta(h f), two products a factor."""
+    present = [(f, e) for f, e in zip(gens, exps) if e]
+    if [e for _, e in present] == [1]:
+        return present[0][0][:N]
+    h, k = [1], [0]
+    for f, e in present:
+        r = [x - (e + 1) * n * y for n, (x, y) in enumerate(zip(k, h))]
+        h = _conv(h, f, N)
+        k = [x + (e + 1) * n * y
+             for n, (x, y) in enumerate(zip(_conv(r, f, N), h))]
     g = [1]
     for n in range(1, N):
         rev = g[::-1]
-        a = sum(map(mul, jf[1:n + 1], rev))
-        b = sum(map(mul, f[1:n + 1], rev))
-        g.append(((k + 1) * a - n * b) // n)
+        a = sum(map(mul, k[1:n + 1], rev))
+        b = sum(map(mul, h[1:n + 1], rev))
+        g.append((a - n * b) // n)
     return g
 
 
@@ -293,8 +311,7 @@ def _generators(N, delta):
             e6[m] -= t5
     if not delta:
         return e4[:N], e6[:N], None
-    num = map(sub, _power(e4, 3, N + 1),
-              (sum(map(mul, e6[:n + 1], e6[n::-1])) for n in range(N + 1)))
+    num = map(sub, _monomial([e4], [3], N + 1), _conv(e6, e6, N + 1))
     d = []
     for n, x in enumerate(num):
         q, r = divmod(x, 1728)
@@ -303,18 +320,6 @@ def _generators(N, delta):
                 "Delta q-expansion not integral at q^%d" % n)
         d.append(q)
     return e4[:N], e6[:N], d[1:]
-
-
-def _mono_qexp(a, b, c, gens):
-    """q-expansion of c4^a c6^b Delta^c over Z, as (-1)^b E4^a E6^b q^c D^c,
-    to at least the precision N of the lists ``gens`` from _generators."""
-    M = max(len(gens[0]) - c, 1)
-    s = Series.constant(ZZ, ("q",), M, (-1) ** b)
-    for f, e in zip(gens, (a, b, c)):
-        if e:
-            s = s * Series(ZZ, ("q",), M,
-                           {(n,): x for n, x in enumerate(_power(f, e, M))})
-    return s.shift(c)
 
 
 def _check_precision(N):
@@ -350,12 +355,15 @@ def q_expansion(f, N):
                                "cap %d" % (monomial_label(mon),
                                            monomial_weight(mon), WEIGHT_CAP))
     _check_work([monomial_weight(mon) for mon in f.terms], N)
-    gens = _generators(N, any(c for _, _, c in f.terms))
+    gens = _generators(N, any(0 < c < N for _, _, c in f.terms))
     R = f.ring
     out = {}
     for (a, b, c), coeff in f.sorted_terms():
-        for e, n in _mono_qexp(a, b, c, gens).terms.items():
-            v = R.mul(coeff, R.from_int(n))
+        if c >= N:
+            continue
+        # c4^a c6^b Delta^c = (-1)^b E4^a E6^b q^c D^c
+        for n, x in enumerate(_monomial(gens, (a, b, c), N - c), c):
+            e, v = (n,), R.mul(coeff, R.from_int((-1) ** b * x))
             out[e] = R.add(out[e], v) if e in out else v
     return Series(R, ("q",), N, out)
 
@@ -366,9 +374,9 @@ def j_q_expansion(N):
     The returned series shows exponents -1 .. N-2 (N terms) for N >= 2.
     """
     _check_precision(N)
-    work = max(N, 2) + 1
-    gens = _generators(work, True)
-    j = _mono_qexp(3, 0, 0, gens).divide_exact(_mono_qexp(0, 0, 1, gens))
+    n = max(N, 2)
+    g = _monomial(_generators(n, True), (3, 0, -1), n)
+    j = Series(ZZ, ("q",), n, {(e,): x for e, x in enumerate(g)}).shift(-1)
     if j.coeff((-1,)) != 1:
         raise InternalCheckError("j-expansion must start with q^-1")
     if j.coeff((0,)) != 744:

@@ -541,10 +541,10 @@ class Series:
         commutative ring.  Once q_(d-1) is known, one _pairs call adds its
         products with every -(1/c0) f_j into a running sum of the degrees
         above, whose degree-d part is then complete: q_d.  The result has
-        the precision of f.  An f with a pole is rejected; divide_exact
-        handles that case by shifting.  On rings with the to_cleared hook
-        the recurrence runs on cleared ints, reduced mod m once per degree
-        over Z/m and F_p, with one from_cleared per output term."""
+        the precision of f.  An f with a pole is rejected.  On rings with
+        the to_cleared hook the recurrence runs on cleared ints, reduced mod
+        m once per degree over Z/m and F_p, with one from_cleared per output
+        term."""
         R = self.ring
         if self._has_pole():
             raise AlgebraError("inverse_unit needs a power series")
@@ -576,36 +576,17 @@ class Series:
         return Series(R, self.vars, n, out)
 
     def divide_exact(self, g):
-        """f/g by the first of two routes that applies:
-
-        1. g is a power series with unit constant term: f * g.inverse_unit().
-        2. one variable, and the coefficient of g's lowest term t^v is a
-           unit: shift g down by v, invert, multiply, and shift back.
-
-        Otherwise NotDivisible, naming g's lowest term.  On route 2 the
-        result's precision drops by v, and by a further v − val(f) when f
-        starts lower than g (the quotient's low terms consume that much of
-        the known window); the quotient may have a pole."""
+        """f/g for a power series g with a unit constant term, as
+        f * g.inverse_unit().  Any other divisor raises NotDivisible,
+        naming g's lowest term."""
         self._align(g)
-        R = self.ring
         if g.is_zero():
             raise NotDivisible("division by zero series")
-        if not g._has_pole() and R.is_unit(g.constant_term()):
-            return self * g.inverse_unit()
-        v = g.valuation()
-        if len(self.vars) > 1 or not R.is_unit(g.coeff((v,))):
+        if g._has_pole() or not self.ring.is_unit(g.constant_term()):
             lead = g._like(dict(g.sorted_terms()[:1]))
             raise NotDivisible("the divisor's lowest term %s is not a unit "
-                               "times a power of one variable" % lead)
-        if self.is_zero():
-            n = min(self.precision, g.precision) - max(v, 0)
-            return Series.zero(R, self.vars, n)
-        vf = self.valuation()
-        n = min(self.precision, g.precision) - v - max(0, v - vf)
-        if n < 1:
-            raise AlgebraError("division would exhaust the precision")
-        q = (self * g.shift(-v).inverse_unit()).shift(-v).terms
-        return Series(R, self.vars, n, q)
+                               "constant" % lead)
+        return self * g.inverse_unit()
 
     # -- reversion ----------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Exact division of truncated series by leading-term elimination, for the
-tests: the divisions Series.divide_exact refuses, by a divisor whose lowest
-coefficient is not a unit, or of several variables with no unit constant
-term.  The chord slope (w(z2) - w(z1))/(z2 - z1) of a curve's formal group
-taken the long way is one."""
+tests: the divisions Series.divide_exact refuses, by a divisor with no unit
+constant term.  In one variable that is t^v times a unit, with a quotient
+that may have a pole, or a divisor whose lowest coefficient is not a unit;
+in several, any divisor without a unit constant term.  x = z/w, y = -1/w
+and the chord slope (w(z2) - w(z1))/(z2 - z1) of a curve's formal group
+taken the long way are such divisions."""
 
 from tmfkit.algebra import AlgebraError, InternalCheckError, NotDivisible
 from tmfkit.series import Series
@@ -14,8 +16,9 @@ def eliminate(f, g):
     degree v = val(g), and subtract that quotient term times g.  Each step
     is forced, so the quotient is exact only if every step is; an inexact
     step raises NotDivisible, and so does a negative quotient exponent in
-    several variables.  The precision is divide_exact's: it drops by v, and
-    by a further v - val(f) when f starts lower than g."""
+    several variables.  The precision drops by v, and by a further
+    v - val(f) when f starts lower than g (the quotient's low terms consume
+    that much of the known window)."""
     f._align(g)
     R = f.ring
     if g.is_zero():

@@ -14,7 +14,7 @@ from tmfkit.modforms import (
     ModularForm, normal_form, basis_monomials, dimension,
     q_expansion, j_q_expansion, monomial_label,
     QEXP_PRECISION_CAP, QEXP_WORK_CAP, WEIGHT_CAP, _check_work, _generators,
-    _mono_qexp, _power,
+    _monomial,
 )
 
 
@@ -212,13 +212,9 @@ class TestQExpansions:
         f = ModularForm(R, {(1, 0, 0): 1, (2, 0, 0): 3, (0, 1, 0): 2,
                             (3, 0, 1): 1, (0, 0, 1): 3})
         N = 12
-        gens = _generators(N, True)
-        old = Series.zero(R, ("q",), N)
-        for (a, b, c), co in f.sorted_terms():
-            old = old + _mono_qexp(a, b, c, gens).truncate(N).map_coeffs(
-                lambda n, _co=co: R.mul(_co, R.from_int(n)), R)
         got = q_expansion(f, N)
-        assert got == old and got.terms == {(0,): 2}
+        assert got == reference_q_expansion(f, reference_generators(N))
+        assert got.terms == {(0,): 2}
 
     def test_monomial_weight_cap(self):
         # c4^(cap/4) is the heaviest monomial expanded; one c4 more is refused
@@ -281,7 +277,49 @@ class TestMillerPower:
             for _ in range(2)]
         for f in lists:
             for k in (0, 1, 2, 3, 7, 60):
-                assert int_series(_power(f, k, N)) == int_series(f) ** k, k
+                assert int_series(_monomial([f], [k], N)) \
+                    == int_series(f) ** k, k
+
+    @pytest.mark.parametrize("N", [1, 2, 13, 60])
+    def test_every_monomial_matches_square_and_multiply(self, N):
+        # every normal-form monomial of weight <= 48, each by one recurrence,
+        # against the product of the square-and-multiply powers
+        gens = reference_generators(N)
+        mons = [m for k in range(0, 49, 2) for m in basis_monomials(k)]
+        assert len(mons) == 61
+        for mon in mons:
+            f = ModularForm.monomial(mon)
+            assert q_expansion(f, N) == reference_q_expansion(f, gens), mon
+
+    @pytest.mark.parametrize("N", [1, 2, 13, 60])
+    def test_negative_exponents_multiply_back(self, N):
+        # E4^a E6^b D^-k times D^k is E4^a E6^b
+        gens = _generators(N, True)
+        for a, b in ((0, 0), (1, 0), (0, 1), (3, 0), (2, 1), (7, 1)):
+            for k in (1, 2):
+                low = int_series(_monomial(gens, (a, b, -k), N))
+                back = low * int_series(_monomial(gens, (0, 0, k), N))
+                assert back == int_series(_monomial(gens, (a, b, 0), N)), \
+                    (a, b, k)
+
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_delta_power_past_the_precision_is_zero(self, N):
+        for mon in ((0, 0, N), (0, 0, N + 1), (2, 1, N)):
+            q = q_expansion(ModularForm.monomial(mon), N)
+            assert q == Series.zero(ZZ, ("q",), N), mon
+        q = q_expansion(ModularForm(ZZ, {(0, 0, N): 1, (1, 0, 0): 1}), N)
+        assert q == q_expansion(ModularForm.generator("c4"), N)
+
+    def test_heaviest_monomial_within_budget(self):
+        # c4^2258 c6 Delta^80 at the top precision: weight 10 000, the
+        # slowest single monomial when it was the product of three powers
+        f = ModularForm.monomial((2258, 1, 80))
+        start = time.monotonic()
+        q = q_expansion(f, QEXP_PRECISION_CAP)
+        assert time.monotonic() - start < 2.0
+        # leading terms of -E4^2258 E6 q^80 D^80, D = 1 - 24q + ...
+        assert min(q.terms) == (80,) and q.coeff((80,)) == -1
+        assert q.coeff((81,)) == -(240 * 2258 - 504 - 24 * 80)
 
     def test_sieve_matches_divisor_sums(self):
         N = 40
@@ -306,6 +344,13 @@ class TestJExpansion:
     def test_small_precision(self):
         j = j_q_expansion(1)
         assert j.coeff((-1,)) == 1
+
+    @pytest.mark.parametrize("N,precision,top", [(1, 1, 0), (2, 1, 0),
+                                                 (3, 2, 1), (4, 3, 2)])
+    def test_precision_and_exponent_range(self, N, precision, top):
+        j = j_q_expansion(N)
+        assert j.precision == precision
+        assert (min(j.terms), max(j.terms)) == ((-1,), (top,))
 
     def test_j_times_delta_is_c4_cubed(self):
         N = 10

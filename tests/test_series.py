@@ -208,24 +208,35 @@ class TestComposition:
 
 
 class TestDivision:
+    # divide_exact divides only by a unit constant term; the elimination
+    # helper divides by t^v times a unit
     def test_exact_division(self):
         f = zt(5, {(1,): 2, (2,): 2})
         g = zt(5, {(1,): 1})
-        h = f.divide_exact(g)
+        with pytest.raises(NotDivisible, match="lowest term t is not a unit"):
+            f.divide_exact(g)
+        h = eliminate(f, g)
         assert h.coeff((0,)) == 2 and h.coeff((1,)) == 2
 
     def test_laurent_division(self):
         # a one-variable quotient may have a pole
         one = Series.one(ZZ, ("t",), 6)
         t2 = zt(6, {(2,): 1})
-        assert one.divide_exact(t2) == zt(2, {(-2,): 1})
+        with pytest.raises(NotDivisible):
+            one.divide_exact(t2)
+        assert eliminate(one, t2) == zt(2, {(-2,): 1})
 
     def test_laurent_division_precision_guard(self):
         # each unit of denominator valuation costs precision; running out
         # is an error, not a silent wrong answer
         one = Series.one(ZZ, ("t",), 4)
-        with pytest.raises(AlgebraError):
-            one.divide_exact(zt(4, {(2,): 1}))
+        with pytest.raises(AlgebraError, match="exhaust the precision"):
+            eliminate(one, zt(4, {(2,): 1}))
+
+    def test_a_divisor_with_a_pole_is_refused(self):
+        g = zt(4, {(-1,): 1, (0,): 1})
+        with pytest.raises(NotDivisible, match="lowest term t\\^-1 is not"):
+            Series.one(ZZ, ("t",), 4).divide_exact(g)
 
     def test_negative_quotient_exponent_in_several_variables(self):
         # 2y / 2x would be x^-1 y: no series of two variables holds it
@@ -780,7 +791,7 @@ def assert_product_matches(a, b):
 
 def laurent_series(rng, R, precision, low):
     """A one-variable series with terms from t^low (low < 0) up, as the
-    shifted factors inside divide_exact."""
+    quotients of a division by t^v times a unit."""
     terms = {(d,): random_coeff(rng, R) for d in range(low, precision)
              if rng.random() < 0.6}
     terms[(low,)] = rng.choice(some_units(R))
@@ -970,7 +981,8 @@ def test_truncate_matches_prefiltered(R):
 
 @pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_shifted_division_matches_prefiltered(R):
-    # route 2 of divide_exact: one variable, g = t^v times a unit series
+    # one variable, g = t^v times a unit series: divide_exact refuses it,
+    # and the elimination helper gives the shifted quotient
     rng = random.Random("shifted division %r" % (R,))
     for case in range(30):
         v = rng.randint(1, 3)
@@ -986,7 +998,9 @@ def test_shifted_division_matches_prefiltered(R):
             continue
         q = (f * g.shift(-v).inverse_unit()).shift(-v).terms
         q = {e: c for e, c in q.items() if e[0] < m}
-        assert_same_clean(f.divide_exact(g), Series(R, ("t",), m, q))
+        with pytest.raises(NotDivisible, match="lowest term"):
+            f.divide_exact(g)
+        assert_same_clean(eliminate(f, g), Series(R, ("t",), m, q))
 
 
 @pytest.mark.parametrize("R", [QQ, LocalizedIntegers(at=3)], ids=repr)
@@ -1007,7 +1021,7 @@ def test_product_with_large_coprime_denominators(R):
     assert p.coeff((1, 2)) == Fraction(-4, big7 ** 2)
 
 
-# -- divide_exact: every route multiplies back -------------------------------
+# -- divide_exact and the elimination helper: every quotient multiplies back -
 
 def non_units(R):
     """Nonzero non-units that divide exactly in a domain (none in a field;
@@ -1023,8 +1037,8 @@ def non_units(R):
 @pytest.mark.parametrize("R", RINGS, ids=repr)
 def test_division_multiplies_back(R):
     rng = random.Random("divide %r" % (R,))
-    seen = {"unit constant": 0, "shift": 0, "eliminate 1 var": 0,
-            "eliminate 2-3 vars": 0, "laurent": 0}
+    seen = {"unit constant": 0, "eliminate unit lead": 0,
+            "eliminate 1 var": 0, "eliminate 2-3 vars": 0, "laurent": 0}
     for case in range(60):
         vars = VARS[case % 3]
         top = (8, 5, 4)[case % 3]
@@ -1043,12 +1057,11 @@ def test_division_multiplies_back(R):
             continue
         if R.is_unit(g.constant_term()):
             route = "unit constant"
-        elif len(vars) == 1 and R.is_unit(lead):
-            route = "shift"
         else:
             # divide_exact refuses the rest; the elimination helper divides
-            route = "eliminate %s" % ("1 var" if len(vars) == 1
-                                      else "2-3 vars")
+            route = "eliminate %s" % (
+                "2-3 vars" if len(vars) > 1
+                else "unit lead" if R.is_unit(lead) else "1 var")
             with pytest.raises(NotDivisible, match="lowest term"):
                 f.divide_exact(g)
         try:

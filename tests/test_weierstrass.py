@@ -181,10 +181,10 @@ class TestFormalGroup:
 
 def plain_formal_group(curve, N):
     """The curve's formal group the long way, at the fixed slack N + 8:
-    x = z/w and y = -1/w by Laurent division, the chord slope by dividing
-    w(z2) - w(z1) by z2 - z1 by elimination, and eta = dx/(2y + a1 x + a3)
-    by elimination too, since the divisor's lowest coefficient -2 need not
-    be a unit (None where that division fails).  F, x and y are truncated
+    x = z/w, y = -1/w and the chord slope, w(z2) - w(z1) divided by
+    z2 - z1, by elimination, and eta = dx/(2y + a1 x + a3) by elimination
+    too, since the divisor's lowest coefficient -2 need not be a unit (None
+    where that division fails).  F, x and y are truncated
     to N and eta to N - 1."""
     R = curve.ring
     a1, a2, a3, a4, a6 = curve.a_invariants()
@@ -200,8 +200,8 @@ def plain_formal_group(curve, N):
             break
         u = nu
     w = z ** 3 * u
-    x = z.divide_exact(w)
-    y = (-one).divide_exact(w)
+    x = eliminate(z, w)
+    y = eliminate(-one, w)
     pair = ("z1", "z2")
     Z1 = Series.gen(R, pair, Nw, "z1")
     Z2 = Series.gen(R, pair, Nw, "z2")
